@@ -10,6 +10,14 @@ namespace bftbc::crypto {
 namespace {
 using u32 = std::uint32_t;
 using u64 = std::uint64_t;
+// GCC and Clang both provide a 128-bit unsigned type; __extension__
+// keeps -Wpedantic quiet about it.
+__extension__ typedef unsigned __int128 u128;
+
+// Exponents up to this many bits use square-and-multiply: a 4-bit
+// window's table costs 14 multiplies, while e = 65537 needs only 17 in
+// total.
+constexpr std::size_t kPlainExpBits = 32;
 }  // namespace
 
 BigInt::BigInt(u64 v) {
@@ -322,96 +330,109 @@ BigInt BigInt::mod_exp_schoolbook(const BigInt& base, const BigInt& exp,
 Montgomery::Montgomery(const BigInt& m) : m_(m) {
   assert(m.is_odd() && "Montgomery requires an odd modulus");
   assert(BigInt::compare(m, BigInt(1)) > 0);
-  n_ = m_.limbs_.size();
-  // n0_ = -m^-1 mod 2^32 by Newton iteration: for odd m0, x = m0 is an
+  k_ = (m_.limbs_.size() + 1) / 2;
+  mw_.resize(k_);
+  to_words(m_, mw_.data());
+  // n0_ = -m^-1 mod 2^64 by Newton iteration: for odd m0, x = m0 is an
   // inverse mod 2^3; each x *= 2 - m0*x step doubles the valid bits.
-  const u32 m0 = m_.limbs_[0];
-  u32 x = m0;
+  const u64 m0 = mw_[0];
+  u64 x = m0;
   for (int i = 0; i < 5; ++i) x *= 2 - m0 * x;
-  n0_ = ~x + 1;  // negate mod 2^32
-  rr_ = BigInt(1).shifted_left(64 * n_) % m_;
-  one_ = BigInt(1).shifted_left(32 * n_) % m_;
+  n0_ = ~x + 1;  // negate mod 2^64
+  rr_.resize(k_);
+  to_words(BigInt(1).shifted_left(128 * k_) % m_, rr_.data());
+}
+
+void Montgomery::to_words(const BigInt& a, u64* out) const {
+  const std::vector<u32>& l = a.limbs_;
+  for (std::size_t i = 0; i < k_; ++i) {
+    const u64 lo = 2 * i < l.size() ? l[2 * i] : 0;
+    const u64 hi = 2 * i + 1 < l.size() ? l[2 * i + 1] : 0;
+    out[i] = lo | hi << 32;
+  }
+}
+
+BigInt Montgomery::from_words(const u64* w) const {
+  std::vector<u32> limbs(2 * k_);
+  for (std::size_t i = 0; i < k_; ++i) {
+    limbs[2 * i] = static_cast<u32>(w[i]);
+    limbs[2 * i + 1] = static_cast<u32>(w[i] >> 32);
+  }
+  return BigInt::from_limbs(std::move(limbs));
 }
 
 // CIOS multiplication+reduction (Koç et al., "Analyzing and Comparing
 // Montgomery Multiplication Algorithms"): interleaves the schoolbook
-// product with the reduction so the intermediate never exceeds n+2
-// limbs. Inputs must be < m (zero-padded to n limbs); out = a*b*R^-1
-// mod m with R = 2^(32*n).
-void Montgomery::mont_mul_into(const u32* a, std::size_t a_size, const u32* b,
-                               std::size_t b_size,
-                               std::vector<u32>& out) const {
-  const std::vector<u32>& m = m_.limbs_;
-  std::vector<u64> t(n_ + 2, 0);
-  for (std::size_t i = 0; i < n_; ++i) {
-    const u64 ai = i < a_size ? a[i] : 0;
+// product with the reduction so the accumulator never exceeds k+2
+// words. Every product-plus-two-words sum fits in 128 bits.
+void Montgomery::mul(u64* out, const u64* a, const u64* b, u64* t) const {
+  const std::size_t k = k_;
+  const u64* m = mw_.data();
+  std::fill(t, t + k + 2, 0);
+  for (std::size_t i = 0; i < k; ++i) {
+    const u64 ai = a[i];
     u64 carry = 0;
-    for (std::size_t j = 0; j < n_; ++j) {
-      const u64 bj = j < b_size ? b[j] : 0;
-      const u64 cur = static_cast<u64>(static_cast<u32>(t[j])) + ai * bj + carry;
-      t[j] = static_cast<u32>(cur);
-      carry = cur >> 32;
+    for (std::size_t j = 0; j < k; ++j) {
+      const u128 cur = static_cast<u128>(ai) * b[j] + t[j] + carry;
+      t[j] = static_cast<u64>(cur);
+      carry = static_cast<u64>(cur >> 64);
     }
-    u64 cur = static_cast<u64>(static_cast<u32>(t[n_])) + carry;
-    t[n_] = static_cast<u32>(cur);
-    t[n_ + 1] = cur >> 32;
+    u128 cur = static_cast<u128>(t[k]) + carry;
+    t[k] = static_cast<u64>(cur);
+    t[k + 1] = static_cast<u64>(cur >> 64);
 
-    const u32 mfac = static_cast<u32>(t[0]) * n0_;
-    cur = static_cast<u64>(static_cast<u32>(t[0])) + static_cast<u64>(mfac) * m[0];
-    carry = cur >> 32;  // low 32 bits are zero by construction
-    for (std::size_t j = 1; j < n_; ++j) {
-      cur = static_cast<u64>(static_cast<u32>(t[j])) +
-            static_cast<u64>(mfac) * m[j] + carry;
-      t[j - 1] = static_cast<u32>(cur);
-      carry = cur >> 32;
+    const u64 mfac = t[0] * n0_;
+    cur = static_cast<u128>(mfac) * m[0] + t[0];
+    carry = static_cast<u64>(cur >> 64);  // low word is zero by construction
+    for (std::size_t j = 1; j < k; ++j) {
+      cur = static_cast<u128>(mfac) * m[j] + t[j] + carry;
+      t[j - 1] = static_cast<u64>(cur);
+      carry = static_cast<u64>(cur >> 64);
     }
-    cur = static_cast<u64>(static_cast<u32>(t[n_])) + carry;
-    t[n_ - 1] = static_cast<u32>(cur);
-    t[n_] = t[n_ + 1] + (cur >> 32);  // <= 1; cannot overflow 64 bits
-    t[n_ + 1] = 0;
+    cur = static_cast<u128>(t[k]) + carry;
+    t[k - 1] = static_cast<u64>(cur);
+    t[k] = t[k + 1] + static_cast<u64>(cur >> 64);  // <= 1
   }
 
-  out.assign(n_ + 1, 0);
-  for (std::size_t i = 0; i <= n_; ++i) out[i] = static_cast<u32>(t[i]);
   // Conditional final subtraction: the CIOS invariant keeps the result
   // below 2m, so at most one subtract of m is needed.
-  bool ge = out[n_] != 0;
+  bool ge = t[k] != 0;
   if (!ge) {
     ge = true;
-    for (std::size_t i = n_; i-- > 0;) {
-      if (out[i] != m[i]) {
-        ge = out[i] > m[i];
+    for (std::size_t i = k; i-- > 0;) {
+      if (t[i] != m[i]) {
+        ge = t[i] > m[i];
         break;
       }
     }
   }
-  if (ge) {
-    std::int64_t borrow = 0;
-    for (std::size_t i = 0; i < n_; ++i) {
-      std::int64_t diff = static_cast<std::int64_t>(out[i]) - m[i] - borrow;
-      if (diff < 0) {
-        diff += (std::int64_t{1} << 32);
-        borrow = 1;
-      } else {
-        borrow = 0;
-      }
-      out[i] = static_cast<u32>(diff);
-    }
-    out[n_] = static_cast<u32>(static_cast<std::int64_t>(out[n_]) - borrow);
+  if (!ge) {
+    std::copy(t, t + k, out);
+    return;
+  }
+  u64 borrow = 0;
+  for (std::size_t i = 0; i < k; ++i) {
+    const u128 diff = static_cast<u128>(t[i]) - m[i] - borrow;
+    out[i] = static_cast<u64>(diff);
+    borrow = static_cast<u64>(diff >> 64) & 1;
   }
 }
 
 BigInt Montgomery::mont_mul(const BigInt& a, const BigInt& b) const {
   assert(a < m_ && b < m_);
-  std::vector<u32> out;
-  mont_mul_into(a.limbs_.data(), a.limbs_.size(), b.limbs_.data(),
-                b.limbs_.size(), out);
-  return BigInt::from_limbs(std::move(out));
+  std::vector<u64> ws(4 * k_ + 2);
+  u64* aw = ws.data();
+  u64* bw = aw + k_;
+  u64* out = bw + k_;
+  to_words(a, aw);
+  to_words(b, bw);
+  mul(out, aw, bw, out + k_);
+  return from_words(out);
 }
 
 BigInt Montgomery::to_mont(const BigInt& a) const {
   const BigInt reduced = a < m_ ? a : a % m_;
-  return mont_mul(reduced, rr_);
+  return mont_mul(reduced, from_words(rr_.data()));
 }
 
 BigInt Montgomery::from_mont(const BigInt& a) const {
@@ -421,40 +442,61 @@ BigInt Montgomery::from_mont(const BigInt& a) const {
 BigInt Montgomery::mod_exp(const BigInt& base, const BigInt& exp) const {
   const std::size_t bits = exp.bit_length();
   if (bits == 0) return BigInt(1) % m_;
+  const std::size_t k = k_;
+  const bool windowed = bits > kPlainExpBits;
 
-  // Fixed 4-bit windows: 16-entry table of base powers in the domain,
-  // then 4 squarings + at most one table multiply per window.
-  const BigInt bm = to_mont(base);
-  BigInt table[16];
-  table[0] = one_;
-  table[1] = bm;
-  for (int i = 2; i < 16; ++i) table[i] = mont_mul(table[i - 1], bm);
+  // One zeroed workspace per call (the context is shared across
+  // threads): the CIOS accumulator, the running power, and a table of
+  // k-word entries whose entry w is base^w in the domain — 16 entries
+  // for the window, 2 for square-and-multiply. Entry 0 instead holds a
+  // plain 1 for leaving the domain: no window reads it, because a
+  // window of zeros skips its multiply and the first window holds the
+  // exponent's top bit.
+  std::vector<u64> ws(k + 2 + k + (windowed ? 16 : 2) * k);
+  u64* t = ws.data();
+  u64* acc = t + k + 2;
+  u64* table = acc + k;
+  u64* pow1 = table + k;
+  table[0] = 1;
 
-  auto window_at = [&exp](std::size_t hi) {
-    // 4 bits ending at bit index hi-3 (hi is the window's top bit).
-    unsigned w = 0;
-    for (int k = 3; k >= 0; --k) {
-      w <<= 1;
-      if (hi >= static_cast<std::size_t>(3 - k) &&
-          exp.bit(hi - static_cast<std::size_t>(3 - k)))
-        w |= 1;
-    }
-    return w;
-  };
-
-  const std::size_t windows = (bits + 3) / 4;
-  std::size_t top = windows * 4 - 1;  // top bit index of the first window
-  BigInt acc = table[window_at(top)];
-  while (top >= 4) {
-    top -= 4;
-    acc = mont_mul(acc, acc);
-    acc = mont_mul(acc, acc);
-    acc = mont_mul(acc, acc);
-    acc = mont_mul(acc, acc);
-    const unsigned w = window_at(top);
-    if (w != 0) acc = mont_mul(acc, table[w]);
+  if (base < m_) {
+    to_words(base, pow1);
+  } else {
+    to_words(base % m_, pow1);
   }
-  return from_mont(acc);
+  mul(pow1, pow1, rr_.data(), t);
+
+  if (!windowed) {
+    std::copy(pow1, pow1 + k, acc);
+    for (std::size_t i = bits - 1; i-- > 0;) {
+      mul(acc, acc, acc, t);
+      if (exp.bit(i)) mul(acc, acc, pow1, t);
+    }
+  } else {
+    for (std::size_t w = 2; w < 16; ++w)
+      mul(table + w * k, table + (w - 1) * k, pow1, t);
+    // The 4 exponent bits from bit `lo` up; lo is a multiple of 4, so a
+    // window never straddles a 32-bit limb.
+    const std::vector<u32>& e = exp.limbs_;
+    auto window_at = [&e](std::size_t lo) -> std::size_t {
+      return lo / 32 < e.size() ? (e[lo / 32] >> (lo % 32)) & 0xf : 0;
+    };
+    std::size_t lo = (bits - 1) / 4 * 4;
+    const u64* first = table + window_at(lo) * k;
+    std::copy(first, first + k, acc);
+    while (lo >= 4) {
+      lo -= 4;
+      mul(acc, acc, acc, t);
+      mul(acc, acc, acc, t);
+      mul(acc, acc, acc, t);
+      mul(acc, acc, acc, t);
+      const std::size_t w = window_at(lo);
+      if (w != 0) mul(acc, acc, table + w * k, t);
+    }
+  }
+
+  mul(acc, acc, table, t);  // times plain 1: out of the domain
+  return from_words(acc);
 }
 
 BigInt BigInt::gcd(BigInt a, BigInt b) {

@@ -3,11 +3,11 @@
 // Little-endian vector of 32-bit limbs, always normalized (no high zero
 // limbs; zero is an empty vector). Division is Knuth's Algorithm D.
 // Modular exponentiation for odd moduli (every RSA modulus and prime)
-// runs over a Montgomery domain — CIOS reduction plus 4-bit windowed
-// exponentiation — with the reduction constants held in a reusable
-// `Montgomery` context so per-key state can be cached. The legacy
-// divmod-per-step ladder survives as `mod_exp_schoolbook` for even
-// moduli and as the differential-fuzz reference.
+// runs over a Montgomery domain held by a reusable `Montgomery` context,
+// whose CIOS kernel works on 64-bit words, so per-key state can be
+// cached. The legacy divmod-per-step ladder survives as
+// `mod_exp_schoolbook` for even moduli and as the differential-fuzz
+// reference.
 #pragma once
 
 #include <cstdint>
@@ -106,18 +106,23 @@ class BigInt {
 
 // Reusable reduction context for a fixed odd modulus m > 1.
 //
-// Construction computes the constants (R^2 mod m and -m^-1 mod 2^32);
-// after that, mod_exp does one Knuth division total (folding the base
-// into the domain) instead of two per exponent bit. RSA callers cache
-// one context per key component (n, p, q). The context is immutable
-// after construction and safe to share across threads.
+// The context stores m, -m^-1 mod 2^64 and R^2 mod m as little-endian
+// 64-bit words (k = word count of m, R = 2^(64k)); construction costs
+// one Knuth division. mod_exp converts the base into the domain and the
+// result out of it once, and runs the exponent loop in place in one
+// per-call workspace, so the multiply itself never allocates. RSA
+// callers cache one context per key component (n, p, q). The context
+// is immutable after construction and holds no scratch, so concurrent
+// verifier threads can share it.
 class Montgomery {
  public:
   explicit Montgomery(const BigInt& m);
 
   const BigInt& modulus() const { return m_; }
 
-  // (base ^ exp) mod m via 4-bit fixed-window exponentiation.
+  // (base ^ exp) mod m. Exponents of at most 32 bits (RSA's e = 65537)
+  // use plain square-and-multiply; longer ones a 4-bit fixed window,
+  // whose 16-entry table only pays off once the exponent is long.
   BigInt mod_exp(const BigInt& base, const BigInt& exp) const;
 
   // (a * b * R^-1) mod m for a, b already in the Montgomery domain.
@@ -127,15 +132,19 @@ class Montgomery {
   BigInt from_mont(const BigInt& a) const;  // a*R^-1 mod m
 
  private:
-  void mont_mul_into(const std::uint32_t* a, std::size_t a_size,
-                     const std::uint32_t* b, std::size_t b_size,
-                     std::vector<std::uint32_t>& out) const;
+  // out = a*b*R^-1 mod m over k-word operands below m; t is k+2 words
+  // of scratch. out may alias a or b.
+  void mul(std::uint64_t* out, const std::uint64_t* a, const std::uint64_t* b,
+           std::uint64_t* t) const;
+  // a (at most k words long) as k words, and k words back as a BigInt.
+  void to_words(const BigInt& a, std::uint64_t* out) const;
+  BigInt from_words(const std::uint64_t* w) const;
 
   BigInt m_;
-  std::size_t n_ = 0;       // limb count of m_
-  std::uint32_t n0_ = 0;    // -m^-1 mod 2^32
-  BigInt rr_;               // R^2 mod m, R = 2^(32*n_)
-  BigInt one_;              // R mod m (1 in the Montgomery domain)
+  std::size_t k_ = 0;              // 64-bit word count of m_
+  std::uint64_t n0_ = 0;           // -m^-1 mod 2^64
+  std::vector<std::uint64_t> mw_;  // m_ as k_ words
+  std::vector<std::uint64_t> rr_;  // R^2 mod m as k_ words
 };
 
 struct BigInt::DivResult {

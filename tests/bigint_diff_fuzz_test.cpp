@@ -2,9 +2,14 @@
 //
 // The schoolbook divmod ladder is slow but simple enough to trust; the
 // Montgomery CIOS path and the CRT recombination in rsa_sign are the
-// fast, tricky replacements. Each seed drives:
+// fast, tricky replacements. The Montgomery kernel works on 64-bit
+// words, so the widths include odd 32-bit limb counts (a half-empty top
+// word) and moduli just below a power of two (an all-ones top word,
+// which drives the carry word and the final subtraction). Each seed
+// drives:
 //   - mod_exp (Montgomery for odd moduli) vs mod_exp_schoolbook on
-//     random (base, exp, modulus) triples across widths;
+//     random (base, exp, modulus) triples across widths, and on
+//     exponents either side of the 32-bit square-and-multiply limit;
 //   - Montgomery domain round-trips and mont_mul against plain a*b%m;
 //   - CRT recombination identity against the direct m^d mod n, plus a
 //     full RSA sign/verify round-trip with tamper rejection.
@@ -39,15 +44,25 @@ BigInt random_odd_with_bits(Rng& rng, std::size_t bits) {
 
 class BigIntDiffFuzzTest : public ::testing::TestWithParam<std::uint64_t> {};
 
+// 2^bits - c for odd c < 2^32: for bits >= 96 every bit above the low
+// 32 is set.
+BigInt near_power_of_two(Rng& rng, std::size_t bits) {
+  const BigInt c(rng.next_u32() | 1u);
+  return BigInt(1).shifted_left(bits) - c;
+}
+
 TEST_P(BigIntDiffFuzzTest, MontgomeryMatchesSchoolbook) {
   Rng rng(GetParam() ^ 0xd1ffe12e);
-  const std::size_t widths[] = {32, 64, 160, 512, 1024};
+  const std::size_t widths[] = {32, 64, 96, 160, 512, 544, 1024, 2048};
   for (const std::size_t bits : widths) {
-    for (int round = 0; round < 8; ++round) {
+    // The schoolbook reference costs two divisions per exponent bit, so
+    // the 2048-bit rounds are fewer and their exponents shorter.
+    const bool wide = bits > 1024;
+    for (int round = 0; round < (wide ? 2 : 8); ++round) {
       const BigInt m = random_odd_with_bits(rng, bits);
       const BigInt base = BigInt::random_below(rng, m);
       const BigInt exp =
-          BigInt::random_with_bits(rng, 1 + rng.next_below(bits));
+          BigInt::random_with_bits(rng, 1 + rng.next_below(wide ? 256 : bits));
       const BigInt fast = BigInt::mod_exp(base, exp, m);
       const BigInt slow = BigInt::mod_exp_schoolbook(base, exp, m);
       ASSERT_EQ(fast.to_hex(), slow.to_hex())
@@ -56,16 +71,48 @@ TEST_P(BigIntDiffFuzzTest, MontgomeryMatchesSchoolbook) {
   }
 }
 
+TEST_P(BigIntDiffFuzzTest, MontgomeryNearPowerOfTwoModuli) {
+  Rng rng(GetParam() ^ 0x2b17e5);
+  for (const std::size_t bits : {128, 512, 1024, 2048}) {
+    const BigInt m = near_power_of_two(rng, bits);
+    const Montgomery mont(m);
+    const BigInt bases[] = {BigInt::random_below(rng, m), m - BigInt(1),
+                            m - BigInt(2)};
+    for (const BigInt& a : bases) {
+      for (const std::size_t exp_bits : {17, 97}) {
+        const BigInt exp = BigInt::random_with_bits(rng, exp_bits);
+        ASSERT_EQ(mont.mod_exp(a, exp).to_hex(),
+                  BigInt::mod_exp_schoolbook(a, exp, m).to_hex())
+            << "bits=" << bits << " exp_bits=" << exp_bits;
+      }
+      const BigInt b = BigInt::random_below(rng, m);
+      const BigInt product =
+          mont.from_mont(mont.mont_mul(mont.to_mont(a), mont.to_mont(b)));
+      ASSERT_EQ(product.to_hex(), ((a * b) % m).to_hex()) << "bits=" << bits;
+    }
+  }
+}
+
 TEST_P(BigIntDiffFuzzTest, MontgomeryEdgeExponents) {
   Rng rng(GetParam() ^ 0xed6e);
-  const BigInt m = random_odd_with_bits(rng, 256);
-  const BigInt base = BigInt::random_below(rng, m);
-  for (const std::uint64_t e : {0ull, 1ull, 2ull, 3ull, 16ull, 65537ull}) {
-    const BigInt exp(e);
-    ASSERT_EQ(BigInt::mod_exp(base, exp, m).to_hex(),
-              BigInt::mod_exp_schoolbook(base, exp, m).to_hex())
-        << "e=" << e;
+  const std::uint64_t random32 = rng.next_u32() | (1ull << 31);
+  for (const std::size_t bits : {96, 256, 544}) {
+    const BigInt m = random_odd_with_bits(rng, bits);
+    const BigInt base = BigInt::random_below(rng, m);
+    auto check = [&](std::uint64_t e) {
+      const BigInt exp(e);
+      EXPECT_EQ(BigInt::mod_exp(base, exp, m).to_hex(),
+                BigInt::mod_exp_schoolbook(base, exp, m).to_hex())
+          << "bits=" << bits << " e=" << e;
+    };
+    for (const std::uint64_t e : {0, 1, 2, 3, 16, 65537}) check(e);
+    // Exponents of at most 32 bits run square-and-multiply, longer ones
+    // the window: both sides of that limit.
+    for (const std::uint64_t e : {0xffffffffull, 0x100000000ull}) check(e);
+    check(random32);
+    check(random32 | (1ull << 32));
   }
+  const BigInt m = random_odd_with_bits(rng, 256);
   // base congruent to 0 and to m-1 (the -1 case exercises the final
   // conditional subtraction).
   ASSERT_EQ(BigInt::mod_exp(BigInt(0), BigInt(5), m).to_hex(),
@@ -77,7 +124,7 @@ TEST_P(BigIntDiffFuzzTest, MontgomeryEdgeExponents) {
 
 TEST_P(BigIntDiffFuzzTest, MontMulMatchesPlainModmul) {
   Rng rng(GetParam() ^ 0x30147301);
-  for (const std::size_t bits : {64, 192, 512}) {
+  for (const std::size_t bits : {64, 96, 192, 512, 544, 2048}) {
     const BigInt m = random_odd_with_bits(rng, bits);
     const Montgomery mont(m);
     for (int round = 0; round < 16; ++round) {

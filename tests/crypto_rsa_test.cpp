@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "util/hex.h"
+
 namespace bftbc::crypto {
 namespace {
 
@@ -117,6 +119,34 @@ TEST_F(RsaTest, KeyComponentsConsistent) {
   EXPECT_EQ(k.dp, k.d % (k.p - BigInt(1)));
   EXPECT_EQ(k.dq, k.d % (k.q - BigInt(1)));
   EXPECT_TRUE(((k.qinv * k.q) % k.p).is_one());
+}
+
+// Known answers: keygen (whose Miller-Rabin rounds run through
+// Montgomery) and PKCS#1 v1.5 signing are deterministic, so a fixed seed
+// pins the modulus and the signature bytes across changes to the
+// modular-arithmetic engine.
+TEST(RsaKnownAnswerTest, KeygenAndSignatureBytesArePinned) {
+  struct Case {
+    std::size_t bits;
+    const char* modulus_prefix;
+    const char* sig_sha256;
+  };
+  const Case cases[] = {
+      {512, "b7b9246c54df2733",
+       "08a550f662facc86111118451c5b257d7c0e813c1831d348ecb14238d0c034ad"},
+      {1024, "832283541db9725a",
+       "2aa67fb43dab822521c4887682b45f740fc38a6127f000343df08ad4cd76883d"},
+  };
+  const Bytes msg = to_bytes("bftbc known-answer");
+  for (const Case& c : cases) {
+    Rng rng(7);
+    const RsaKeyPair kp = rsa_generate(rng, c.bits);
+    EXPECT_EQ(kp.pub.n.to_hex().substr(0, 16), c.modulus_prefix) << c.bits;
+    const RsaContext ctx(kp.priv);
+    const Bytes sig = rsa_sign(kp.priv, ctx, msg);
+    EXPECT_EQ(to_hex(digest_view(sha256(sig))), c.sig_sha256) << c.bits;
+    EXPECT_TRUE(rsa_verify(kp.pub, RsaContext(kp.pub), msg, sig)) << c.bits;
+  }
 }
 
 TEST_F(RsaTest, DistinctSeedsDistinctKeys) {
