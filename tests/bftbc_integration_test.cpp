@@ -3,6 +3,8 @@
 // base/optimized/strong mode matrix.
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "harness/cluster.h"
 
 namespace bftbc {
@@ -11,11 +13,18 @@ namespace {
 using harness::Cluster;
 using harness::ClusterOptions;
 
+// gtest names each instance in ctest with a byte dump of its ModeParam, so
+// the struct has no padding: the bytes between `strong` and `name` are an
+// explicit zeroed member rather than whatever the stack held, and they read
+// the same on every run.
 struct ModeParam {
+  ModeParam(bool o, bool s, const char* n) : optimized(o), strong(s), name(n) {}
   bool optimized;
   bool strong;
+  char zero[6] = {};
   const char* name;
 };
+static_assert(std::has_unique_object_representations_v<ModeParam>);
 
 class BftBcModeTest : public ::testing::TestWithParam<ModeParam> {
  protected:
