@@ -30,6 +30,7 @@
 #include "crypto/bigint.h"
 #include "crypto/hmac.h"
 #include "crypto/rsa.h"
+#include "crypto/sha256_kernel.h"
 #include "crypto/signature.h"
 #include "crypto/verify_pool.h"
 #include "harness/cluster.h"
@@ -519,6 +520,10 @@ void report_auth_modes(metrics::BenchReport& report) {
 int main(int argc, char** argv) {
   metrics::BenchArgs args = metrics::parse_bench_args(argc, argv);
   metrics::BenchReport report("bench_auth_cost", args);
+  // The same binary hashes through a different SHA-256 kernel on hosts
+  // with and without the SHA extensions, so every run says which it had.
+  const std::string kernel_name = crypto::sha256_kernel::active_name();
+  report.set_config("sha256_kernel", kernel_name);
 
   report_background_ablation(report);
   report_verification_cache(report);
@@ -530,6 +535,7 @@ int main(int argc, char** argv) {
       "E8(a): raw authentication costs",
       "public-key signatures are orders of magnitude more expensive than "
       "the MAC authenticators usable for point-to-point replies (3.3.2)");
+  std::cout << "SHA-256 kernel: " << kernel_name << "\n\n";
   std::vector<char*> bench_argv(args.argv, args.argv + args.argc);
   std::string min_time = "--benchmark_min_time=0.001";
   if (report.smoke()) bench_argv.push_back(min_time.data());

@@ -34,7 +34,10 @@ Usage:
       encode_calls/op, sign/op, mac_sign/op, mac_verify/op). Exits 1 when
       any watched ratio in NEW regressed (grew) more than PCT percent
       over OLD (default 10). Ratios whose counters are absent from either
-      report are skipped, so MAC-less benches compare unchanged.
+      report are skipped, so MAC-less benches compare unchanged. When the
+      two reports record different config "sha256_kernel" values, a
+      one-line note says so (timings are then not comparable); the note
+      never changes the exit status.
 Exit status: 0 if every file passes, 1 otherwise, 2 on usage error.
 """
 
@@ -194,6 +197,16 @@ def derived_ratios(counters):
     return ratios
 
 
+def kernel_note(old, new):
+    """A one-line note when OLD and NEW ran different SHA-256 kernels."""
+    ok = old["config"].get("sha256_kernel")
+    nk = new["config"].get("sha256_kernel")
+    if ok is None or nk is None or ok == nk:
+        return None
+    return (f"note: sha256_kernel differs (OLD={ok}, NEW={nk}); "
+            "counters compare, timings do not")
+
+
 def compare_reports(old_path, new_path, threshold_pct):
     """Prints counter deltas + ratio deltas; returns exit status."""
     for path in (old_path, new_path):
@@ -209,6 +222,9 @@ def compare_reports(old_path, new_path, threshold_pct):
     old_c, new_c = old["counters"], new["counters"]
 
     print(f"compare: OLD={old_path} NEW={new_path}")
+    note = kernel_note(old, new)
+    if note:
+        print(note)
     print(f"{'counter':<40} {'old':>12} {'new':>12} {'delta':>12}")
     for name in sorted(set(old_c) | set(new_c)):
         ov, nv = old_c.get(name), new_c.get(name)

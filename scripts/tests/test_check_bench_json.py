@@ -205,6 +205,40 @@ class CheckBenchJsonTest(unittest.TestCase):
         self.assertEqual(rc, 0, out)
         self.assertIn("skipped", out)
 
+    def test_compare_notes_different_sha256_kernels(self):
+        old_doc = minimal_report()
+        old_doc["config"]["sha256_kernel"] = "portable"
+        new_doc = minimal_report()
+        new_doc["config"]["sha256_kernel"] = "sha-ni"
+        old = self.write_report("old.json", old_doc)
+        new = self.write_report("new.json", new_doc)
+        rc, out = run_checker("--compare", old, new)
+        self.assertEqual(rc, 0, out)
+        self.assertIn("sha256_kernel differs (OLD=portable, NEW=sha-ni)", out)
+
+    def test_compare_no_kernel_note_when_same_or_unrecorded(self):
+        same = minimal_report()
+        same["config"]["sha256_kernel"] = "sha-ni"
+        old = self.write_report("old.json", same)
+        new = self.write_report("new.json", same)
+        unrecorded = self.write_report("none.json", minimal_report())
+        for pair in ((old, new), (unrecorded, new)):
+            rc, out = run_checker("--compare", *pair)
+            self.assertEqual(rc, 0, out)
+            self.assertNotIn("sha256_kernel", out)
+
+    def test_compare_kernel_note_never_masks_a_regression(self):
+        old_doc = minimal_report()
+        old_doc["config"]["sha256_kernel"] = "portable"
+        new_doc = minimal_report(mac_verify=500)
+        new_doc["config"]["sha256_kernel"] = "sha-ni"
+        old = self.write_report("old.json", old_doc)
+        new = self.write_report("new.json", new_doc)
+        rc, out = run_checker("--compare", old, new)
+        self.assertEqual(rc, 1, out)
+        self.assertIn("sha256_kernel differs", out)
+        self.assertIn("regressed", out)
+
     def test_compare_rejects_invalid_report(self):
         old = self.write_report("old.json", minimal_report())
         bad = os.path.join(self.tmp.name, "bad.json")

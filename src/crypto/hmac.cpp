@@ -1,12 +1,15 @@
 #include "crypto/hmac.h"
 
+#include <algorithm>
+#include <array>
+
 namespace bftbc::crypto {
 
 Digest hmac_sha256(BytesView key, BytesView message) {
   constexpr std::size_t kBlock = 64;
 
   // Keys longer than the block size are hashed first.
-  Bytes k(kBlock, 0);
+  std::array<std::uint8_t, kBlock> k{};
   if (key.size() > kBlock) {
     Digest kd = sha256(key);
     std::copy(kd.begin(), kd.end(), k.begin());
@@ -14,7 +17,8 @@ Digest hmac_sha256(BytesView key, BytesView message) {
     std::copy(key.begin(), key.end(), k.begin());
   }
 
-  Bytes ipad(kBlock), opad(kBlock);
+  std::array<std::uint8_t, kBlock> ipad{};
+  std::array<std::uint8_t, kBlock> opad{};
   for (std::size_t i = 0; i < kBlock; ++i) {
     ipad[i] = k[i] ^ 0x36;
     opad[i] = k[i] ^ 0x5c;

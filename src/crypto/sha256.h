@@ -29,7 +29,9 @@ class Sha256 {
   Digest finish();
 
  private:
-  void process_block(const std::uint8_t* block);
+  // Compresses `n` whole 64-byte blocks through the kernel this process
+  // picked (sha256_kernel.h).
+  void process_blocks(const std::uint8_t* blocks, std::size_t n);
 
   std::uint32_t h_[8];
   std::uint8_t buf_[64];
