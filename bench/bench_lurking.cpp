@@ -123,7 +123,7 @@ CartelResult run_cartel(bool strong, int cartel_size, int overwrites,
   const quorum::PrepareCertificate base_cert =
       cluster.replica(0).find_object(1)->pcert();
   std::optional<quorum::WriteCertificate> base_wcert =
-      good.last_write_cert(1);
+      good.shard_client(0).last_write_cert(1);
 
   std::vector<std::unique_ptr<rpc::Transport>> transports;
   std::vector<std::unique_ptr<faults::LurkingWriteStasher>> cartel;

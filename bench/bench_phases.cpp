@@ -53,7 +53,7 @@ PhaseStats run_workload(const ModeSpec& mode, int writers, int rounds,
   Cluster cluster(o);
 
   PhaseStats stats;
-  std::vector<core::Client*> clients;
+  std::vector<shard::RoutingClient*> clients;
   for (int w = 0; w < writers; ++w) {
     clients.push_back(
         &cluster.add_client(static_cast<quorum::ClientId>(w + 1)));

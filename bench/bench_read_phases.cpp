@@ -97,13 +97,7 @@ int main(int argc, char** argv) {
     ClusterOptions o;
     o.seed = 9;
     o.replica_factories[1] =
-        [](const quorum::QuorumConfig& cfg, quorum::ReplicaId id,
-           crypto::Keystore& ks, rpc::Transport& t, sim::Simulator& s,
-           const core::ReplicaOptions& opts)
-        -> std::unique_ptr<core::Replica> {
-      return std::make_unique<faults::EquivocSignReplica>(cfg, id, ks, t, s,
-                                                          opts);
-    };
+        harness::replica_factory<faults::EquivocSignReplica>();
     Cluster cluster(o);
     auto transport = cluster.make_transport(harness::client_node(66));
     faults::EquivocatorClient attacker(cluster.config(), 66,

@@ -23,7 +23,7 @@
 #include <string>
 #include <vector>
 
-#include "harness/sharded_cluster.h"
+#include "harness/cluster.h"
 #include "harness/table.h"
 #include "metrics/bench_report.h"
 
@@ -34,7 +34,7 @@ namespace {
 // Object ids for `client` such that consecutive picks alternate shards
 // and no two clients ever share an object (no timestamp contention —
 // scaling is measured without artificial retry load).
-std::vector<quorum::ObjectId> balanced_objects(harness::ShardedCluster& cluster,
+std::vector<quorum::ObjectId> balanced_objects(harness::Cluster& cluster,
                                                std::uint32_t client,
                                                std::uint32_t per_shard) {
   const std::uint32_t shards = cluster.shards();
@@ -61,7 +61,7 @@ std::vector<quorum::ObjectId> balanced_objects(harness::ShardedCluster& cluster,
 
 double measure_scaleout(std::uint32_t shards, std::uint32_t clients_n,
                         int ops_per_client, metrics::BenchReport* merge_into) {
-  harness::ShardedClusterOptions o;
+  harness::ClusterOptions o;
   o.shards = shards;
   o.seed = 2024;
   o.optimized = true;
@@ -70,9 +70,10 @@ double measure_scaleout(std::uint32_t shards, std::uint32_t clients_n,
   o.replica.serialize_processing = true;
   o.replica.sign_cost = 2 * sim::kMillisecond;
   o.replica.verify_cost = sim::kMillisecond / 2;
-  harness::ShardedCluster cluster(o);
+  harness::Cluster cluster(o);
 
   core::ClientOptions copts;
+  copts.optimized = o.optimized;  // explicit options skip the mode overlay
   copts.max_inflight = 8;
   // Saturation queues ops behind the serial replicas far past the
   // default 20ms retransmit period; the sim network is loss-free, so
@@ -83,7 +84,7 @@ double measure_scaleout(std::uint32_t shards, std::uint32_t clients_n,
   std::vector<shard::RoutingClient*> routers;
   std::vector<std::vector<quorum::ObjectId>> objects;
   for (std::uint32_t c = 0; c < clients_n; ++c) {
-    routers.push_back(&cluster.add_client(c, copts, o.routing));
+    routers.push_back(&cluster.add_client(c, copts));
     objects.push_back(balanced_objects(cluster, c, 4));
   }
 
@@ -194,12 +195,12 @@ bool report_residency(metrics::BenchReport& report) {
   report.set_config("residency_cap", static_cast<std::int64_t>(cap));
   report.set_config("residency_keyspace", static_cast<std::int64_t>(keyspace));
 
-  harness::ShardedClusterOptions o;
+  harness::ClusterOptions o;
   o.shards = 2;
   o.seed = 7;
   o.optimized = true;
   o.replica.max_resident_objects = cap;
-  harness::ShardedCluster cluster(o);
+  harness::Cluster cluster(o);
   auto& c = cluster.add_client(1);
 
   // Churn: one write per object across a keyspace >> cap, plus a hot
@@ -230,7 +231,7 @@ bool report_residency(metrics::BenchReport& report) {
   Counters totals;
   for (std::uint32_t s = 0; s < cluster.shards(); ++s) {
     for (quorum::ReplicaId r = 0; r < cluster.config().n; ++r) {
-      auto& rep = cluster.replica(s, r);
+      auto& rep = cluster.replica(r, s);
       max_resident = std::max(max_resident, rep.resident_objects());
       for (const auto& [name, value] : rep.metrics().all()) {
         totals.inc(name, value);

@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
     for (int writers : writer_sweep) {
       Cluster cluster([] { ClusterOptions o; o.seed = 5; return o; }());
       int done = 0;
-      std::vector<core::Client*> clients;
+      std::vector<shard::RoutingClient*> clients;
       for (int w = 1; w <= writers; ++w) {
         clients.push_back(
             &cluster.add_client(static_cast<quorum::ClientId>(w)));

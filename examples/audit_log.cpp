@@ -42,7 +42,7 @@ struct Head {
 };
 
 // Read-modify-write append. Returns the new head on success.
-Result<Head> append(harness::Cluster& cluster, core::Client& auditor,
+Result<Head> append(harness::Cluster& cluster, shard::RoutingClient& auditor,
                     const std::string& entry) {
   auto r = cluster.read(auditor, kLogHead);
   if (!r.is_ok()) return r.status();
@@ -84,8 +84,8 @@ int main() {
   options.seed = 99;
   harness::Cluster cluster(options);
 
-  core::Client& auditor_a = cluster.add_client(1);
-  core::Client& auditor_b = cluster.add_client(2);
+  auto& auditor_a = cluster.add_client(1);
+  auto& auditor_b = cluster.add_client(2);
 
   std::printf("== appending audit entries from two auditors ==\n");
   std::vector<Bytes> chain;
@@ -93,7 +93,7 @@ int main() {
                            "key rotation completed", "user bob promoted",
                            "backup verified"};
   for (std::size_t i = 0; i < std::size(entries); ++i) {
-    core::Client& who = (i % 2 == 0) ? auditor_a : auditor_b;
+    shard::RoutingClient& who = (i % 2 == 0) ? auditor_a : auditor_b;
     auto h = append(cluster, who, entries[i]);
     if (!h.is_ok()) {
       std::printf("append failed: %s\n", h.status().to_string().c_str());

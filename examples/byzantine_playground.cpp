@@ -138,21 +138,9 @@ int main() {
     o.f = 2;
     o.seed = 5;
     o.replica_factories[0] =
-        [](const quorum::QuorumConfig& cfg, quorum::ReplicaId id,
-           crypto::Keystore& ks, rpc::Transport& t, sim::Simulator& s,
-           const core::ReplicaOptions& opts)
-        -> std::unique_ptr<core::Replica> {
-      return std::make_unique<faults::GarbageSigReplica>(cfg, id, ks, t, s,
-                                                         opts);
-    };
+        harness::replica_factory<faults::GarbageSigReplica>();
     o.replica_factories[1] =
-        [](const quorum::QuorumConfig& cfg, quorum::ReplicaId id,
-           crypto::Keystore& ks, rpc::Transport& t, sim::Simulator& s,
-           const core::ReplicaOptions& opts)
-        -> std::unique_ptr<core::Replica> {
-      return std::make_unique<faults::FlipValueReplica>(cfg, id, ks, t, s,
-                                                        opts);
-    };
+        harness::replica_factory<faults::FlipValueReplica>();
     harness::Cluster cluster(o);
     auto& good = cluster.add_client(1);
     bool ok = true;

@@ -65,7 +65,7 @@ int main() {
   options.seed = 555;
   harness::Cluster cluster(options);
 
-  Store store{cluster, core::KvStore(cluster.add_client(1))};
+  Store store{cluster, core::KvStore(cluster.add_client(1).shard_client(0))};
 
   std::printf("== stocking the warehouse ==\n");
   store.put("sku/anvil", "12");
@@ -96,7 +96,7 @@ int main() {
               store.get("sku/anvil")->c_str());
 
   // A second front-end (different client) sees the same state.
-  Store other{cluster, core::KvStore(cluster.add_client(2))};
+  Store other{cluster, core::KvStore(cluster.add_client(2).shard_client(0))};
   std::printf("  second front-end reads sku/anvil qty=%s\n",
               other.get("sku/anvil")->c_str());
   return 0;

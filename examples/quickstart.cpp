@@ -19,8 +19,8 @@ int main() {
   harness::Cluster cluster(options);
 
   // Clients are authorized principals; their ids embed into timestamps.
-  core::Client& alice = cluster.add_client(1);
-  core::Client& bob = cluster.add_client(2);
+  auto& alice = cluster.add_client(1);
+  auto& bob = cluster.add_client(2);
 
   // Write: three phases under the hood (READ-TS, PREPARE, WRITE), each a
   // quorum RPC with retransmission.

@@ -25,7 +25,7 @@ constexpr quorum::ObjectId kFrontendFlags = 1;
 constexpr quorum::ObjectId kBackendLimits = 2;
 constexpr quorum::ObjectId kRolloutPercent = 3;
 
-void print_config(harness::Cluster& cluster, core::Client& reader) {
+void print_config(harness::Cluster& cluster, shard::RoutingClient& reader) {
   for (auto [name, object] :
        {std::pair{"frontend-flags", kFrontendFlags},
         std::pair{"backend-limits", kBackendLimits},
@@ -48,9 +48,9 @@ int main() {
   checker::History history;
   harness::Recorder rec(cluster, history);
 
-  core::Client& deployer = cluster.add_client(1);
-  core::Client& autoscaler = cluster.add_client(2);
-  core::Client& dashboard = cluster.add_client(3);
+  auto& deployer = cluster.add_client(1);
+  auto& autoscaler = cluster.add_client(2);
+  auto& dashboard = cluster.add_client(3);
 
   std::printf("== initial rollout ==\n");
   (void)rec.write(deployer, kFrontendFlags, to_bytes("dark-mode=off"));

@@ -321,7 +321,7 @@ struct BqsClient::Op {
 
 BqsClient::BqsClient(const quorum::QuorumConfig& config, ClientId id,
                      crypto::Keystore& keystore, rpc::Transport& transport,
-                     sim::Simulator& simulator,
+                     sim::Scheduler& scheduler,
                      std::vector<sim::NodeId> replica_nodes, Rng rng,
                      BqsClientOptions options)
     : config_(config),
@@ -329,7 +329,7 @@ BqsClient::BqsClient(const quorum::QuorumConfig& config, ClientId id,
       keystore_(keystore),
       signer_(keystore.register_principal(quorum::client_principal(id))),
       transport_(transport),
-      sim_(simulator),
+      sim_(scheduler),
       replica_nodes_(std::move(replica_nodes)),
       nonces_(id, rng),
       options_(options) {
@@ -548,14 +548,14 @@ void BqsClient::read(ObjectId object, ReadCallback cb) {
 BqsEquivocator::BqsEquivocator(const quorum::QuorumConfig& config, ClientId id,
                                crypto::Keystore& keystore,
                                rpc::Transport& transport,
-                               sim::Simulator& simulator,
+                               sim::Scheduler& scheduler,
                                std::vector<sim::NodeId> replica_nodes, Rng rng)
     : config_(config),
       id_(id),
       keystore_(keystore),
       signer_(keystore.register_principal(quorum::client_principal(id))),
       transport_(transport),
-      sim_(simulator),
+      sim_(scheduler),
       replica_nodes_(std::move(replica_nodes)),
       nonces_(id, rng) {
   transport_.set_receiver([this](sim::NodeId from, const rpc::Envelope& env) {

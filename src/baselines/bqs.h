@@ -82,7 +82,7 @@ class BqsClient {
  public:
   BqsClient(const quorum::QuorumConfig& config, ClientId id,
             crypto::Keystore& keystore, rpc::Transport& transport,
-            sim::Simulator& simulator, std::vector<sim::NodeId> replica_nodes,
+            sim::Scheduler& scheduler, std::vector<sim::NodeId> replica_nodes,
             Rng rng, BqsClientOptions options = BqsClientOptions());
 
   ~BqsClient();
@@ -116,7 +116,7 @@ class BqsClient {
   crypto::Keystore& keystore_;
   crypto::Signer signer_;
   rpc::Transport& transport_;
-  sim::Simulator& sim_;
+  sim::Scheduler& sim_;
   std::vector<sim::NodeId> replica_nodes_;
   crypto::NonceGenerator nonces_;
   BqsClientOptions options_;
@@ -136,7 +136,7 @@ class BqsEquivocator {
  public:
   BqsEquivocator(const quorum::QuorumConfig& config, ClientId id,
                  crypto::Keystore& keystore, rpc::Transport& transport,
-                 sim::Simulator& simulator,
+                 sim::Scheduler& scheduler,
                  std::vector<sim::NodeId> replica_nodes, Rng rng);
 
   // Fetch the max ts, then split-brain the replicas at ts+1.
@@ -151,7 +151,7 @@ class BqsEquivocator {
   crypto::Keystore& keystore_;
   crypto::Signer signer_;
   rpc::Transport& transport_;
-  sim::Simulator& sim_;
+  sim::Scheduler& sim_;
   std::vector<sim::NodeId> replica_nodes_;
   crypto::NonceGenerator nonces_;
   std::unique_ptr<rpc::QuorumCall> call_;

@@ -291,7 +291,7 @@ struct PhalanxClient::Op {
 PhalanxClient::PhalanxClient(const quorum::QuorumConfig& config, ClientId id,
                              crypto::Keystore& keystore,
                              rpc::Transport& transport,
-                             sim::Simulator& simulator,
+                             sim::Scheduler& scheduler,
                              std::vector<sim::NodeId> replica_nodes, Rng rng,
                              PhalanxClientOptions options)
     : config_(config),
@@ -299,7 +299,7 @@ PhalanxClient::PhalanxClient(const quorum::QuorumConfig& config, ClientId id,
       keystore_(keystore),
       signer_(keystore.register_principal(quorum::client_principal(id))),
       transport_(transport),
-      sim_(simulator),
+      sim_(scheduler),
       replica_nodes_(std::move(replica_nodes)),
       nonces_(id, rng),
       options_(options) {

@@ -88,7 +88,7 @@ class PhalanxClient {
  public:
   PhalanxClient(const quorum::QuorumConfig& config, ClientId id,
                 crypto::Keystore& keystore, rpc::Transport& transport,
-                sim::Simulator& simulator,
+                sim::Scheduler& scheduler,
                 std::vector<sim::NodeId> replica_nodes, Rng rng,
                 PhalanxClientOptions options = PhalanxClientOptions());
 
@@ -125,7 +125,7 @@ class PhalanxClient {
   crypto::Keystore& keystore_;
   crypto::Signer signer_;
   rpc::Transport& transport_;
-  sim::Simulator& sim_;
+  sim::Scheduler& sim_;
   std::vector<sim::NodeId> replica_nodes_;
   crypto::NonceGenerator nonces_;
   PhalanxClientOptions options_;

@@ -155,7 +155,7 @@ struct SbqlReadRep {
 
 SbqlReplica::SbqlReplica(const quorum::QuorumConfig& config, ReplicaId id,
                          crypto::Keystore& keystore, rpc::Transport& transport,
-                         sim::Simulator& simulator,
+                         sim::Scheduler& scheduler,
                          std::vector<sim::NodeId> peer_nodes,
                          sim::Time retransmit_period)
     : config_(config),
@@ -163,7 +163,7 @@ SbqlReplica::SbqlReplica(const quorum::QuorumConfig& config, ReplicaId id,
       keystore_(keystore),
       signer_(keystore.register_principal(quorum::replica_principal(id))),
       transport_(transport),
-      sim_(simulator),
+      sim_(scheduler),
       peer_nodes_(std::move(peer_nodes)),
       retransmit_period_(retransmit_period) {
   transport_.set_receiver([this](sim::NodeId from, const rpc::Envelope& env) {
@@ -342,7 +342,7 @@ struct SbqlClient::Op {
 
 SbqlClient::SbqlClient(const quorum::QuorumConfig& config, quorum::ClientId id,
                        crypto::Keystore& keystore, rpc::Transport& transport,
-                       sim::Simulator& simulator,
+                       sim::Scheduler& scheduler,
                        std::vector<sim::NodeId> replica_nodes, Rng rng,
                        SbqlClientOptions options)
     : config_(config),
@@ -350,7 +350,7 @@ SbqlClient::SbqlClient(const quorum::QuorumConfig& config, quorum::ClientId id,
       keystore_(keystore),
       signer_(keystore.register_principal(quorum::client_principal(id))),
       transport_(transport),
-      sim_(simulator),
+      sim_(scheduler),
       replica_nodes_(std::move(replica_nodes)),
       nonces_(id, rng),
       options_(options) {

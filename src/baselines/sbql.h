@@ -48,7 +48,7 @@ class SbqlReplica {
  public:
   SbqlReplica(const quorum::QuorumConfig& config, ReplicaId id,
               crypto::Keystore& keystore, rpc::Transport& transport,
-              sim::Simulator& simulator, std::vector<sim::NodeId> peer_nodes,
+              sim::Scheduler& scheduler, std::vector<sim::NodeId> peer_nodes,
               sim::Time retransmit_period = 20 * sim::kMillisecond);
   ~SbqlReplica();
 
@@ -79,7 +79,7 @@ class SbqlReplica {
   crypto::Keystore& keystore_;
   crypto::Signer signer_;
   rpc::Transport& transport_;
-  sim::Simulator& sim_;
+  sim::Scheduler& sim_;
   std::vector<sim::NodeId> peer_nodes_;
   sim::Time retransmit_period_;
   sim::TimerId flush_timer_ = 0;
@@ -105,7 +105,7 @@ class SbqlClient {
  public:
   SbqlClient(const quorum::QuorumConfig& config, quorum::ClientId id,
              crypto::Keystore& keystore, rpc::Transport& transport,
-             sim::Simulator& simulator, std::vector<sim::NodeId> replica_nodes,
+             sim::Scheduler& scheduler, std::vector<sim::NodeId> replica_nodes,
              Rng rng, SbqlClientOptions options = SbqlClientOptions());
   ~SbqlClient();
 
@@ -139,7 +139,7 @@ class SbqlClient {
   crypto::Keystore& keystore_;
   crypto::Signer signer_;
   rpc::Transport& transport_;
-  sim::Simulator& sim_;
+  sim::Scheduler& sim_;
   std::vector<sim::NodeId> replica_nodes_;
   crypto::NonceGenerator nonces_;
   SbqlClientOptions options_;

@@ -1,8 +1,6 @@
 #include "explore/explorer.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -19,7 +17,6 @@
 #include "faults/byzantine_replica.h"
 #include "harness/cluster.h"
 #include "harness/recording.h"
-#include "harness/sharded_cluster.h"
 #include "metrics/json.h"
 #include "util/stats.h"
 
@@ -99,39 +96,46 @@ void compound_signals(const Scenario& s, std::set<std::string>& sig) {
   }
 }
 
-template <typename T>
-harness::ReplicaFactory byz_factory() {
-  return [](const quorum::QuorumConfig& config, quorum::ReplicaId id,
-            crypto::Keystore& keystore, rpc::Transport& transport,
-            sim::Simulator& simulator,
-            const core::ReplicaOptions& opts) -> std::unique_ptr<core::Replica> {
-    return std::make_unique<T>(config, id, keystore, transport, simulator,
-                               opts);
-  };
-}
-
 harness::ReplicaFactory make_factory(ByzSpecies species) {
   switch (species) {
     case ByzSpecies::kSilent:
-      return byz_factory<faults::SilentReplica>();
+      return harness::replica_factory<faults::SilentReplica>();
     case ByzSpecies::kStale:
-      return byz_factory<faults::StaleReplica>();
+      return harness::replica_factory<faults::StaleReplica>();
     case ByzSpecies::kGarbageSig:
-      return byz_factory<faults::GarbageSigReplica>();
+      return harness::replica_factory<faults::GarbageSigReplica>();
     case ByzSpecies::kEquivocSign:
-      return byz_factory<faults::EquivocSignReplica>();
+      return harness::replica_factory<faults::EquivocSignReplica>();
     case ByzSpecies::kFlipValue:
-      return byz_factory<faults::FlipValueReplica>();
+      return harness::replica_factory<faults::FlipValueReplica>();
   }
-  return byz_factory<faults::SilentReplica>();
+  return harness::replica_factory<faults::SilentReplica>();
 }
 
-// One workload client mid-flight: its plan, harness client, private rng,
+// Builds one attack actor aimed at the replica group (and keystore) of
+// the shard that owns the plan's object, matching the cluster's auth
+// mode; `attackers` owns it.
+template <typename Actor>
+Actor& add_attacker(
+    harness::Cluster& cluster, const AttackPlan& plan,
+    rpc::Transport& transport, bool mac_auth,
+    std::vector<std::unique_ptr<faults::AttackClientBase>>& attackers) {
+  const std::uint32_t home = cluster.shard_of(plan.object);
+  auto actor = std::make_unique<Actor>(
+      cluster.config(), plan.id, cluster.keystore(home), transport,
+      cluster.sim(), cluster.replica_nodes(home), cluster.rng().split());
+  actor->set_mac_auth(mac_auth);
+  Actor& ref = *actor;
+  attackers.push_back(std::move(actor));
+  return ref;
+}
+
+// One workload client mid-flight: its plan, routing client, private rng,
 // and the number of ops it will actually issue (shorter when the plan
 // stops it mid-run).
 struct WorkloadClient {
   const ClientPlan* plan = nullptr;
-  core::Client* client = nullptr;
+  shard::RoutingClient* client = nullptr;
   Rng rng;
   std::uint32_t target = 0;
   // An op of this client timed out: its write may still be in flight, so
@@ -139,15 +143,18 @@ struct WorkloadClient {
   bool aborted = false;
 };
 
-// Multi-shard execution: the same scenario phases, but clients go through
-// shard::RoutingClient over a ShardedCluster and the final verdict is
-// taken per shard over the split history. Attacks aim at the shard that
-// owns their object (its replica group, its keystore); Byzantine slots
-// and partition windows apply to the same in-group slot in every shard.
-RunOutcome run_sharded_scenario(const Scenario& s, std::ostream* trace_out) {
-  RunOutcome out;
+}  // namespace
 
-  harness::ShardedClusterOptions copts;
+std::string Explorer::failure_class(const std::string& failure) {
+  const std::size_t colon = failure.find(':');
+  return colon == std::string::npos ? failure : failure.substr(0, colon);
+}
+
+RunOutcome Explorer::run_scenario(const Scenario& s, std::ostream* trace_out) {
+  RunOutcome out;
+  const bool sharded = s.shards > 1;
+
+  harness::ClusterOptions copts;
   copts.shards = s.shards;
   copts.f = s.f;
   copts.optimized = s.mode == Mode::kOptimized;
@@ -159,6 +166,10 @@ RunOutcome run_sharded_scenario(const Scenario& s, std::ostream* trace_out) {
   copts.link.corrupt_probability = s.corrupt;
   copts.link.base_delay = s.base_delay;
   copts.link.jitter_mean = s.jitter_mean;
+  // Install Byzantine replicas — the same in-group slot in every shard.
+  // Within the fault budget at most f slots are filled;
+  // enforce_fault_budget=false is the deliberately-weakened configuration
+  // (the explorer's own canary) and installs them all.
   std::set<std::uint32_t> byz_slots;
   for (const ByzReplicaSlot& b : s.byz_replicas) {
     if (s.enforce_fault_budget && byz_slots.size() >= s.f) break;
@@ -167,47 +178,22 @@ RunOutcome run_sharded_scenario(const Scenario& s, std::ostream* trace_out) {
     byz_slots.insert(b.slot);
   }
 
-  harness::ShardedCluster cluster(copts);
+  harness::Cluster cluster(copts);
   checker::History history;
+  harness::Recorder rec(cluster, history);
 
+  // Liveness failures accumulate first-wins; a safety failure recorded at
+  // the end overrides (it is the headline, and the class shrinking must
+  // preserve).
   auto fail = [&out](std::string msg) {
     if (out.failure.empty()) out.failure = std::move(msg);
-  };
-  auto rec_write = [&](shard::RoutingClient& c, quorum::ClientId id,
-                       quorum::ObjectId object, Bytes value) {
-    const std::size_t token =
-        history.begin_write(id, object, cluster.sim().now(), value);
-    auto result = cluster.write(c, object, std::move(value));
-    if (result.is_ok()) {
-      history.end_write(token, cluster.sim().now(), result.value().ts);
-    } else {
-      history.abort(token);
-    }
-    return result;
-  };
-  auto rec_read = [&](shard::RoutingClient& c, quorum::ClientId id,
-                      quorum::ObjectId object) {
-    const std::size_t token =
-        history.begin_read(id, object, cluster.sim().now());
-    auto result = cluster.read(c, object);
-    if (result.is_ok()) {
-      history.end_read(token, cluster.sim().now(), result.value().ts,
-                       result.value().hash, result.value().value);
-    } else {
-      history.abort(token);
-    }
-    return result;
-  };
-  auto rec_stop = [&](quorum::ClientId id) {
-    cluster.stop_client(id);
-    history.record_stop(id, cluster.sim().now());
   };
 
   // --- Phase A: the probe client seeds every object. -------------------
   shard::RoutingClient& probe = cluster.add_client(kProbeClient);
   for (quorum::ObjectId obj = 1; obj <= s.objects; ++obj) {
-    auto seeded = rec_write(probe, kProbeClient, obj,
-                            to_bytes("seed-" + std::to_string(obj)));
+    auto seeded =
+        rec.write(probe, obj, to_bytes("seed-" + std::to_string(obj)));
     if (!seeded.is_ok() && s.within_fault_budget()) {
       fail("liveness: seed write failed on object " + std::to_string(obj));
     }
@@ -225,68 +211,56 @@ RunOutcome run_sharded_scenario(const Scenario& s, std::ostream* trace_out) {
     attack_transports.push_back(cluster.make_transport(
         harness::shard_client_node(home, plan.id)));
     rpc::Transport& transport = *attack_transports.back();
-    crypto::Keystore& keystore = cluster.keystore(home);
-    const std::vector<sim::NodeId> targets = cluster.replica_nodes(home);
     const sim::Time start =
         (10 + 15 * static_cast<sim::Time>(i)) * sim::kMillisecond;
     switch (plan.kind) {
       case AttackKind::kEquivocate: {
-        auto actor = std::make_unique<faults::EquivocatorClient>(
-            cluster.config(), plan.id, keystore, transport, cluster.sim(),
-            targets, cluster.rng().split());
-        actor->set_mac_auth(s.mac_auth);
-        faults::EquivocatorClient* ap = actor.get();
-        attackers.push_back(std::move(actor));
-        cluster.sim().schedule(start, [ap, plan, i, &attack_done] {
-          ap->attack(plan.object, to_bytes("equiv-a"), to_bytes("equiv-b"),
-                     [i, &attack_done](faults::EquivocatorClient::Outcome) {
-                       attack_done[i] = 1;
-                     });
+        auto& actor = add_attacker<faults::EquivocatorClient>(
+            cluster, plan, transport, s.mac_auth, attackers);
+        cluster.sim().schedule(start, [&actor, plan, i, &attack_done] {
+          actor.attack(plan.object, to_bytes("equiv-a"), to_bytes("equiv-b"),
+                       [i, &attack_done](faults::EquivocatorClient::Outcome) {
+                         attack_done[i] = 1;
+                       });
         });
         break;
       }
       case AttackKind::kPartialWrite: {
-        auto actor = std::make_unique<faults::PartialWriter>(
-            cluster.config(), plan.id, keystore, transport, cluster.sim(),
-            targets, cluster.rng().split());
-        actor->set_mac_auth(s.mac_auth);
-        faults::PartialWriter* ap = actor.get();
-        attackers.push_back(std::move(actor));
-        cluster.sim().schedule(start, [ap, plan, i, &attack_done] {
-          ap->attack(plan.object, to_bytes("partial"),
-                     [i, &attack_done](bool) { attack_done[i] = 1; });
+        auto& actor = add_attacker<faults::PartialWriter>(
+            cluster, plan, transport, s.mac_auth, attackers);
+        cluster.sim().schedule(start, [&actor, plan, i, &attack_done] {
+          actor.attack(plan.object, to_bytes("partial"),
+                       [i, &attack_done](bool) { attack_done[i] = 1; });
         });
         break;
       }
       case AttackKind::kTimestampHog: {
-        auto actor = std::make_unique<faults::TimestampHog>(
-            cluster.config(), plan.id, keystore, transport, cluster.sim(),
-            targets, cluster.rng().split());
-        actor->set_mac_auth(s.mac_auth);
-        faults::TimestampHog* ap = actor.get();
-        attackers.push_back(std::move(actor));
-        cluster.sim().schedule(start, [ap, plan, i, &attack_done] {
-          ap->attack(plan.object, 1'000'000, static_cast<int>(plan.goal),
-                     [i, &attack_done](faults::TimestampHog::Outcome) {
-                       attack_done[i] = 1;
-                     });
+        auto& actor = add_attacker<faults::TimestampHog>(
+            cluster, plan, transport, s.mac_auth, attackers);
+        cluster.sim().schedule(start, [&actor, plan, i, &attack_done] {
+          actor.attack(plan.object, 1'000'000, static_cast<int>(plan.goal),
+                       [i, &attack_done](faults::TimestampHog::Outcome) {
+                         attack_done[i] = 1;
+                       });
         });
         break;
       }
       case AttackKind::kLurkingStash: {
-        auto actor = std::make_unique<faults::LurkingWriteStasher>(
-            cluster.config(), plan.id, keystore, transport, cluster.sim(),
-            targets, cluster.rng().split());
-        actor->set_mac_auth(s.mac_auth);
-        faults::LurkingWriteStasher* ap = actor.get();
-        attackers.push_back(std::move(actor));
+        auto& actor = add_attacker<faults::LurkingWriteStasher>(
+            cluster, plan, transport, s.mac_auth, attackers);
         auto on_done = [i, plan, &attack_done, &stashes,
-                        &rec_stop](faults::LurkingWriteStasher::Outcome o) {
+                        &rec](faults::LurkingWriteStasher::Outcome o) {
           stashes[i] = std::move(o.stashed);
-          rec_stop(plan.id);
+          // The paper's stop: key revoked, event in the history. Whatever
+          // was stashed before this instant may legally lurk — but only
+          // up to the mode bound.
+          rec.stop_client(plan.id);
           attack_done[i] = 1;
         };
         if (s.mode == Mode::kStrong) {
+          // Strong-mode prepares must justify against the predecessor's
+          // write certificate; anchor on the probe's seed write. Resolve
+          // the certificates at fire time, not scheduling time.
           quorum::ReplicaId correct = 0;
           for (quorum::ReplicaId r = 0; r < s.n(); ++r) {
             if (byz_slots.count(r) == 0) {
@@ -294,24 +268,24 @@ RunOutcome run_sharded_scenario(const Scenario& s, std::ostream* trace_out) {
               break;
             }
           }
-          cluster.sim().schedule(start, [ap, plan, home, correct, &cluster,
-                                         on_done] {
+          cluster.sim().schedule(start, [&actor, plan, home, correct,
+                                         &cluster, &probe, on_done] {
             core::PrepareCertificate just =
                 core::PrepareCertificate::genesis(plan.object);
             const auto* state =
-                cluster.replica(home, correct).find_object(plan.object);
+                cluster.replica(correct, home).find_object(plan.object);
             if (state != nullptr) just = state->pcert();
             std::optional<core::WriteCertificate> wcert =
-                cluster.client_leg(kProbeClient, home)
-                    .last_write_cert(plan.object);
-            ap->attack_chained(plan.object, std::move(just), std::move(wcert),
-                               static_cast<int>(plan.goal), on_done);
+                probe.shard_client(home).last_write_cert(plan.object);
+            actor.attack_chained(plan.object, std::move(just),
+                                 std::move(wcert),
+                                 static_cast<int>(plan.goal), on_done);
           });
         } else {
           const bool optlist = s.mode == Mode::kOptimized;
-          cluster.sim().schedule(start, [ap, plan, optlist, on_done] {
-            ap->attack(plan.object, static_cast<int>(plan.goal), optlist,
-                       on_done);
+          cluster.sim().schedule(start, [&actor, plan, optlist, on_done] {
+            actor.attack(plan.object, static_cast<int>(plan.goal), optlist,
+                         on_done);
           });
         }
         break;
@@ -320,25 +294,25 @@ RunOutcome run_sharded_scenario(const Scenario& s, std::ostream* trace_out) {
   }
 
   // --- Phase C: correct-client workload through the routers. ------------
-  struct ShardedWorkloadClient {
-    const ClientPlan* plan = nullptr;
-    shard::RoutingClient* client = nullptr;
-    Rng rng;
-    std::uint32_t target = 0;
-    bool aborted = false;
-  };
-  std::vector<ShardedWorkloadClient> workload;
+  std::vector<WorkloadClient> workload;
   workload.reserve(s.clients.size());
   int completed_ops = 0;
   int failed_ops = 0;
   int expected_ops = 0;
   for (const ClientPlan& plan : s.clients) {
     core::ClientOptions client_opts;
+    // Explicit per-client options do NOT inherit the cluster's mode
+    // flags; set them or the client would speak base protocol at
+    // optimized/strong replicas.
+    client_opts.optimized = copts.optimized;
+    client_opts.strong = copts.strong;
+    client_opts.mac_auth = copts.mac_auth;
     shard::RoutingClientOptions routing;
     if (plan.pipelined) {
       client_opts.max_inflight = plan.window;
-      // The cross-shard window rides on top of the per-shard one.
-      routing.max_inflight_total = plan.window;
+      // The cross-shard window rides on top of the per-shard one; with
+      // one shard it would only duplicate the leg's own window.
+      if (sharded) routing.max_inflight_total = plan.window;
     }
     shard::RoutingClient& c = cluster.add_client(plan.id, client_opts, routing);
     std::uint32_t target = plan.ops;
@@ -350,14 +324,22 @@ RunOutcome run_sharded_scenario(const Scenario& s, std::ostream* trace_out) {
     expected_ops += static_cast<int>(target);
   }
 
+  // Sequential clients run op k+1 from op k's completion callback, so a
+  // mid-run stop always lands between operations — never across one.
   std::function<void(std::size_t, std::uint32_t)> step =
       [&](std::size_t ci, std::uint32_t op) {
-        ShardedWorkloadClient& wc = workload[ci];
+        WorkloadClient& wc = workload[ci];
         if (op >= wc.target) {
+          // The administrator's stop is a distinct later event, not part
+          // of the final op's completion instant: defer it one tick so
+          // the checker's frontier (strict responded < stop.at) includes
+          // everything this client completed. A client with a timed-out
+          // op is skipped — its write may still be in flight, which is a
+          // legal lurking write, not the quiescent stop being modeled.
           if (wc.target < wc.plan->ops && !wc.aborted) {
             const quorum::ClientId id = wc.plan->id;
             cluster.sim().schedule(sim::kMillisecond,
-                                   [&rec_stop, id] { rec_stop(id); });
+                                   [&rec, id] { rec.stop_client(id); });
           }
           return;
         }
@@ -401,492 +383,6 @@ RunOutcome run_sharded_scenario(const Scenario& s, std::ostream* trace_out) {
       };
 
   for (std::size_t ci = 0; ci < workload.size(); ++ci) {
-    ShardedWorkloadClient& wc = workload[ci];
-    if (!wc.plan->pipelined) {
-      step(ci, 0);
-      continue;
-    }
-    for (std::uint32_t op = 0; op < wc.target; ++op) {
-      const quorum::ObjectId object =
-          1 + static_cast<quorum::ObjectId>(wc.rng.next_below(s.objects));
-      const Bytes value = to_bytes("c" + std::to_string(wc.plan->id) + "-p" +
-                                   std::to_string(op));
-      const std::size_t token =
-          history.begin_write(wc.plan->id, object, cluster.sim().now(), value);
-      wc.client->submit_write(object, value,
-                              [&, token](Result<core::Client::WriteResult> r) {
-                                if (r.is_ok()) {
-                                  history.end_write(token, cluster.sim().now(),
-                                                    r.value().ts);
-                                  ++completed_ops;
-                                } else {
-                                  history.abort(token);
-                                  ++failed_ops;
-                                }
-                              });
-    }
-  }
-
-  // --- Phase D: partition windows — the slot across every shard. --------
-  std::vector<quorum::ClientId> party_ids;
-  party_ids.push_back(kProbeClient);
-  for (const ClientPlan& plan : s.clients) party_ids.push_back(plan.id);
-  for (const AttackPlan& plan : s.attacks) party_ids.push_back(plan.id);
-  std::vector<sim::NodeId> party_nodes;
-  for (std::uint32_t sh = 0; sh < s.shards; ++sh) {
-    for (quorum::ClientId id : party_ids) {
-      party_nodes.push_back(harness::shard_client_node(sh, id));
-    }
-  }
-  for (const PartitionPlan& p : s.partitions) {
-    if (p.replica >= s.n()) continue;
-    cluster.sim().schedule(p.at, [&cluster, &party_nodes, p, shards = s.shards] {
-      for (std::uint32_t sh = 0; sh < shards; ++sh) {
-        const sim::NodeId node = harness::shard_replica_node(sh, p.replica);
-        for (sim::NodeId peer : party_nodes) cluster.net().partition(node, peer);
-      }
-    });
-    cluster.sim().schedule(p.heal_at, [&cluster, &party_nodes, p,
-                                       shards = s.shards] {
-      for (std::uint32_t sh = 0; sh < shards; ++sh) {
-        const sim::NodeId node = harness::shard_replica_node(sh, p.replica);
-        for (sim::NodeId peer : party_nodes) cluster.net().heal(node, peer);
-      }
-    });
-  }
-
-  // --- Phase D': crash/restart schedule — the slot in every group. ------
-  // Outlives the scheduled restart closures below.
-  std::vector<quorum::ObjectId> all_objects;
-  for (quorum::ObjectId obj = 1; obj <= s.objects; ++obj) {
-    all_objects.push_back(obj);
-  }
-  for (const CrashPlan& c : s.crashes) {
-    if (c.replica >= s.n()) continue;
-    history.record_crash(c.replica, c.at, c.restart_at);
-    cluster.sim().schedule(c.at, [&cluster, c, shards = s.shards] {
-      for (std::uint32_t sh = 0; sh < shards; ++sh) {
-        cluster.crash_replica(sh, static_cast<quorum::ReplicaId>(c.replica));
-      }
-    });
-    if (c.restart_at != 0) {
-      // restart_replica filters to the shard's owned objects itself.
-      cluster.sim().schedule(
-          c.restart_at, [&cluster, c, shards = s.shards, &all_objects] {
-            for (std::uint32_t sh = 0; sh < shards; ++sh) {
-              cluster.restart_replica(
-                  sh, static_cast<quorum::ReplicaId>(c.replica), all_objects);
-            }
-          });
-    }
-  }
-
-  // --- Phase E: run to quiescence (bounded). ----------------------------
-  const bool finished = cluster.run_until(
-      [&] {
-        if (completed_ops + failed_ops < expected_ops) return false;
-        for (char done : attack_done) {
-          if (!done) return false;
-        }
-        return true;
-      },
-      20'000'000);
-  out.completed = finished;
-  if (!finished && s.within_fault_budget()) {
-    fail("liveness: workload/attacks did not quiesce within the event budget");
-  }
-  if (failed_ops > 0 && s.within_fault_budget() && s.partitions.empty()) {
-    fail("liveness: " + std::to_string(failed_ops) +
-         " correct-client operation(s) failed");
-  }
-
-  if (finished) {
-    cluster.net().heal_all();
-    cluster.settle();
-
-    // --- Phase F: staged colluder replay into the owning shard. ---------
-    // Grouped attacks are pooled below; independent ones replay here.
-    for (std::size_t i = 0; i < s.attacks.size(); ++i) {
-      const AttackPlan plan = s.attacks[i];
-      if (plan.kind != AttackKind::kLurkingStash || !plan.collude_replay ||
-          plan.collusion_group != 0) {
-        continue;
-      }
-      const std::uint32_t home = cluster.shard_of(plan.object);
-      auto colluder_transport = cluster.make_transport(
-          harness::shard_client_node(
-              home, kColluderNodeBase + static_cast<quorum::ClientId>(i)));
-      for (rpc::Envelope& env : stashes[i]) {
-        faults::Colluder colluder(*colluder_transport,
-                                  cluster.replica_nodes(home));
-        colluder.stash(env);
-        colluder.unleash(2);
-        cluster.settle();
-        auto probed = rec_read(probe, kProbeClient, plan.object);
-        if (!probed.is_ok() && s.within_fault_budget()) {
-          fail("liveness: probe read failed during colluder replay");
-        }
-      }
-    }
-
-    // Collusion groups: every member's stash pools into ONE colluder and
-    // replays only now — after all members stopped (quiescence implies
-    // it). The bound must hold per stopped client even for jointly
-    // planned writes.
-    std::map<std::uint32_t, std::vector<std::size_t>> collusion_groups;
-    for (std::size_t i = 0; i < s.attacks.size(); ++i) {
-      const AttackPlan& plan = s.attacks[i];
-      if (plan.kind == AttackKind::kLurkingStash && plan.collusion_group != 0)
-        collusion_groups[plan.collusion_group].push_back(i);
-    }
-    for (const auto& [gid, members] : collusion_groups) {
-      const quorum::ObjectId target = s.attacks[members.front()].object;
-      const std::uint32_t home = cluster.shard_of(target);
-      auto colluder_transport = cluster.make_transport(
-          harness::shard_client_node(
-              home, kColluderNodeBase + 100 +
-                        static_cast<quorum::ClientId>(gid)));
-      for (std::size_t i : members) {
-        for (rpc::Envelope& env : stashes[i]) {
-          faults::Colluder colluder(*colluder_transport,
-                                    cluster.replica_nodes(home));
-          colluder.stash(env);
-          colluder.unleash(2);
-          cluster.settle();
-          auto probed = rec_read(probe, kProbeClient, target);
-          if (!probed.is_ok() && s.within_fault_budget()) {
-            fail("liveness: probe read failed during colluder replay");
-          }
-        }
-      }
-    }
-
-    // --- Phase G: final quiescent reads over every object. --------------
-    for (quorum::ObjectId obj = 1; obj <= s.objects; ++obj) {
-      auto final_read = rec_read(probe, kProbeClient, obj);
-      if (!final_read.is_ok() && s.within_fault_budget()) {
-        fail("liveness: final read failed on object " + std::to_string(obj));
-      }
-    }
-  }
-
-  // --- Coverage extraction (the fleet is still alive). ------------------
-  std::set<std::string> sig;
-  scenario_signals(s, sig);
-  std::size_t plist_max = 0;
-  std::size_t optlist_max = 0;
-  for (std::uint32_t sh = 0; sh < s.shards; ++sh) {
-    for (quorum::ReplicaId r = 0; r < s.n(); ++r) {
-      core::Replica& rep = cluster.replica(sh, r);
-      counter_signals(rep.metrics(), "r:", sig);
-      for (quorum::ObjectId obj = 1; obj <= s.objects; ++obj) {
-        const core::ObjectState* state = rep.find_object(obj);
-        if (state == nullptr) continue;
-        plist_max = std::max(plist_max, state->plist().size());
-        optlist_max = std::max(optlist_max, state->optlist().size());
-      }
-    }
-  }
-  sig.insert("plist:" + std::to_string(log2_bucket(plist_max)));
-  if (s.mode == Mode::kOptimized) {
-    sig.insert("optlist:" + std::to_string(log2_bucket(optlist_max)));
-  }
-  for (const auto& attacker : attackers) {
-    counter_signals(attacker->metrics(), "a:", sig);
-    if (attacker->metrics().get("pmax_unreachable") > 0) {
-      ++out.vacuous_attacks;
-    }
-  }
-  if (out.vacuous_attacks > 0) sig.insert("atk:vacuous");
-
-  // --- Verdict: split the history and check each shard on its own. ------
-  std::set<checker::ClientId> bad_clients;
-  for (const AttackPlan& plan : s.attacks) bad_clients.insert(plan.id);
-  const shard::ShardMap& map = cluster.map();
-  const std::vector<checker::History> parts = checker::split_history(
-      history, s.shards,
-      [&map](checker::ObjectId object) { return map.shard_of(object); });
-  out.safety_ok = true;
-  for (std::uint32_t sh = 0; sh < s.shards; ++sh) {
-    const checker::CheckResult check =
-        checker::check_bft_linearizability(parts[sh], bad_clients);
-    out.max_lurking = std::max(out.max_lurking, check.max_lurking());
-    checker_signals(check, s, sig);
-    const bool ok = s.mode == Mode::kStrong ? check.ok_plus(s.max_b(), 2)
-                                            : check.ok(s.max_b());
-    out.shard_verdicts.push_back(ok ? "ok" : check.summary());
-    sig.insert("shard" + std::to_string(sh) + (ok ? ":ok" : ":fail"));
-    if (!ok && out.safety_ok) {
-      out.safety_ok = false;
-      out.failure =
-          "safety: shard " + std::to_string(sh) + ": " + check.summary();
-    }
-  }
-
-  out.events = cluster.sim().executed_events();
-  out.history_ops = history.completed_count();
-  out.ops_spanning_crashes = history.ops_spanning_crashes();
-  if (!s.crashes.empty()) {
-    sig.insert("xcrash:" +
-               std::to_string(log2_bucket(out.ops_spanning_crashes)));
-  }
-  compound_signals(s, sig);
-  sig.insert(out.failure.empty()
-                 ? "verdict:ok"
-                 : "verdict:" + Explorer::failure_class(out.failure));
-  out.signals.assign(sig.begin(), sig.end());
-  if (trace_out != nullptr) {
-    *trace_out << "(multi-shard scenario: event-ring tracing not captured)\n";
-  }
-  return out;
-}
-
-}  // namespace
-
-std::string Explorer::failure_class(const std::string& failure) {
-  const std::size_t colon = failure.find(':');
-  return colon == std::string::npos ? failure : failure.substr(0, colon);
-}
-
-RunOutcome Explorer::run_scenario(const Scenario& s, std::ostream* trace_out) {
-  if (s.shards > 1) return run_sharded_scenario(s, trace_out);
-  RunOutcome out;
-
-  harness::ClusterOptions copts;
-  copts.f = s.f;
-  copts.optimized = s.mode == Mode::kOptimized;
-  copts.strong = s.mode == Mode::kStrong;
-  copts.mac_auth = s.mac_auth;
-  copts.seed = s.seed;
-  copts.link.loss_probability = s.loss;
-  copts.link.duplicate_probability = s.dup;
-  copts.link.corrupt_probability = s.corrupt;
-  copts.link.base_delay = s.base_delay;
-  copts.link.jitter_mean = s.jitter_mean;
-  // Install Byzantine replicas. Within the fault budget at most f slots
-  // are filled; enforce_fault_budget=false is the deliberately-weakened
-  // configuration (the explorer's own canary) and installs them all.
-  std::set<std::uint32_t> byz_slots;
-  for (const ByzReplicaSlot& b : s.byz_replicas) {
-    if (s.enforce_fault_budget && byz_slots.size() >= s.f) break;
-    if (b.slot >= s.n()) continue;
-    copts.replica_factories[b.slot] = make_factory(b.species);
-    byz_slots.insert(b.slot);
-  }
-
-  harness::Cluster cluster(copts);
-  checker::History history;
-  harness::Recorder rec(cluster, history);
-
-  // Liveness failures accumulate first-wins; a safety failure recorded at
-  // the end overrides (it is the headline, and the class shrinking must
-  // preserve).
-  auto fail = [&out](std::string msg) {
-    if (out.failure.empty()) out.failure = std::move(msg);
-  };
-
-  // --- Phase A: the probe client seeds every object. -------------------
-  core::Client& probe = cluster.add_client(kProbeClient);
-  for (quorum::ObjectId obj = 1; obj <= s.objects; ++obj) {
-    auto seeded = rec.write(probe, obj, to_bytes("seed-" + std::to_string(obj)));
-    if (!seeded.is_ok() && s.within_fault_budget()) {
-      fail("liveness: seed write failed on object " + std::to_string(obj));
-    }
-  }
-
-  // --- Phase B: construct attack actors and schedule their attacks. ----
-  std::vector<std::unique_ptr<rpc::Transport>> attack_transports;
-  std::vector<std::unique_ptr<faults::AttackClientBase>> attackers;
-  std::vector<char> attack_done(s.attacks.size(), 0);
-  std::vector<std::vector<rpc::Envelope>> stashes(s.attacks.size());
-
-  for (std::size_t i = 0; i < s.attacks.size(); ++i) {
-    const AttackPlan plan = s.attacks[i];
-    attack_transports.push_back(
-        cluster.make_transport(harness::client_node(plan.id)));
-    rpc::Transport& transport = *attack_transports.back();
-    const sim::Time start = (10 + 15 * static_cast<sim::Time>(i)) *
-                            sim::kMillisecond;
-    switch (plan.kind) {
-      case AttackKind::kEquivocate: {
-        auto actor = std::make_unique<faults::EquivocatorClient>(
-            cluster.config(), plan.id, cluster.keystore(), transport,
-            cluster.sim(), cluster.replica_nodes(), cluster.rng().split());
-        actor->set_mac_auth(s.mac_auth);
-        faults::EquivocatorClient* ap = actor.get();
-        attackers.push_back(std::move(actor));
-        cluster.sim().schedule(start, [ap, plan, i, &attack_done] {
-          ap->attack(plan.object, to_bytes("equiv-a"), to_bytes("equiv-b"),
-                     [i, &attack_done](faults::EquivocatorClient::Outcome) {
-                       attack_done[i] = 1;
-                     });
-        });
-        break;
-      }
-      case AttackKind::kPartialWrite: {
-        auto actor = std::make_unique<faults::PartialWriter>(
-            cluster.config(), plan.id, cluster.keystore(), transport,
-            cluster.sim(), cluster.replica_nodes(), cluster.rng().split());
-        actor->set_mac_auth(s.mac_auth);
-        faults::PartialWriter* ap = actor.get();
-        attackers.push_back(std::move(actor));
-        cluster.sim().schedule(start, [ap, plan, i, &attack_done] {
-          ap->attack(plan.object, to_bytes("partial"),
-                     [i, &attack_done](bool) { attack_done[i] = 1; });
-        });
-        break;
-      }
-      case AttackKind::kTimestampHog: {
-        auto actor = std::make_unique<faults::TimestampHog>(
-            cluster.config(), plan.id, cluster.keystore(), transport,
-            cluster.sim(), cluster.replica_nodes(), cluster.rng().split());
-        actor->set_mac_auth(s.mac_auth);
-        faults::TimestampHog* ap = actor.get();
-        attackers.push_back(std::move(actor));
-        cluster.sim().schedule(start, [ap, plan, i, &attack_done] {
-          ap->attack(plan.object, 1'000'000,
-                     static_cast<int>(plan.goal),
-                     [i, &attack_done](faults::TimestampHog::Outcome) {
-                       attack_done[i] = 1;
-                     });
-        });
-        break;
-      }
-      case AttackKind::kLurkingStash: {
-        auto actor = std::make_unique<faults::LurkingWriteStasher>(
-            cluster.config(), plan.id, cluster.keystore(), transport,
-            cluster.sim(), cluster.replica_nodes(), cluster.rng().split());
-        actor->set_mac_auth(s.mac_auth);
-        faults::LurkingWriteStasher* ap = actor.get();
-        attackers.push_back(std::move(actor));
-        auto on_done = [i, plan, &attack_done, &stashes,
-                        &rec](faults::LurkingWriteStasher::Outcome o) {
-          stashes[i] = std::move(o.stashed);
-          // The paper's stop: key revoked, event in the history. Whatever
-          // was stashed before this instant may legally lurk — but only
-          // up to the mode bound.
-          rec.stop_client(plan.id);
-          attack_done[i] = 1;
-        };
-        if (s.mode == Mode::kStrong) {
-          // Strong-mode prepares must justify against the predecessor's
-          // write certificate; anchor on the probe's seed write. Resolve
-          // the certificates at fire time, not scheduling time.
-          quorum::ReplicaId correct = 0;
-          for (quorum::ReplicaId r = 0; r < s.n(); ++r) {
-            if (byz_slots.count(r) == 0) {
-              correct = r;
-              break;
-            }
-          }
-          cluster.sim().schedule(start, [ap, plan, correct, &cluster, &probe,
-                                         on_done] {
-            core::PrepareCertificate just =
-                core::PrepareCertificate::genesis(plan.object);
-            const auto* state = cluster.replica(correct).find_object(plan.object);
-            if (state != nullptr) just = state->pcert();
-            std::optional<core::WriteCertificate> wcert =
-                probe.last_write_cert(plan.object);
-            ap->attack_chained(plan.object, std::move(just), std::move(wcert),
-                               static_cast<int>(plan.goal), on_done);
-          });
-        } else {
-          const bool optlist = s.mode == Mode::kOptimized;
-          cluster.sim().schedule(start, [ap, plan, optlist, on_done] {
-            ap->attack(plan.object, static_cast<int>(plan.goal), optlist,
-                       on_done);
-          });
-        }
-        break;
-      }
-    }
-  }
-
-  // --- Phase C: correct-client workload. --------------------------------
-  std::vector<WorkloadClient> workload;
-  workload.reserve(s.clients.size());
-  int completed_ops = 0;
-  int failed_ops = 0;
-  int expected_ops = 0;
-  for (const ClientPlan& plan : s.clients) {
-    core::ClientOptions client_opts;
-    // The two-argument add_client does NOT inherit the cluster's mode
-    // flags; set them explicitly or the client would speak base protocol
-    // at optimized/strong replicas.
-    client_opts.optimized = copts.optimized;
-    client_opts.strong = copts.strong;
-    client_opts.mac_auth = copts.mac_auth;
-    if (plan.pipelined) client_opts.max_inflight = plan.window;
-    core::Client& c = cluster.add_client(plan.id, client_opts);
-    std::uint32_t target = plan.ops;
-    if (!plan.pipelined && plan.stop_after_ops > 0 &&
-        plan.stop_after_ops < plan.ops) {
-      target = plan.stop_after_ops;
-    }
-    workload.push_back({&plan, &c, cluster.rng().split(), target});
-    expected_ops += static_cast<int>(target);
-  }
-
-  // Sequential clients run op k+1 from op k's completion callback, so a
-  // mid-run stop always lands between operations — never across one.
-  std::function<void(std::size_t, std::uint32_t)> step =
-      [&](std::size_t ci, std::uint32_t op) {
-        WorkloadClient& wc = workload[ci];
-        if (op >= wc.target) {
-          // The administrator's stop is a distinct later event, not part
-          // of the final op's completion instant: defer it one tick so
-          // the checker's frontier (strict responded < stop.at) includes
-          // everything this client completed. A client with a timed-out
-          // op is skipped — its write may still be in flight, which is a
-          // legal lurking write, not the quiescent stop being modeled.
-          if (wc.target < wc.plan->ops && !wc.aborted) {
-            const quorum::ClientId id = wc.plan->id;
-            cluster.sim().schedule(sim::kMillisecond,
-                                   [&rec, id] { rec.stop_client(id); });
-          }
-          return;
-        }
-        const quorum::ObjectId object =
-            1 + static_cast<quorum::ObjectId>(wc.rng.next_below(s.objects));
-        if (wc.rng.next_bool(wc.plan->write_ratio)) {
-          const Bytes value = to_bytes("c" + std::to_string(wc.plan->id) +
-                                       "-w" + std::to_string(op));
-          const std::size_t token = history.begin_write(
-              wc.plan->id, object, cluster.sim().now(), value);
-          wc.client->write(object, value,
-                           [&, ci, op, token](Result<core::Client::WriteResult> r) {
-                             if (r.is_ok()) {
-                               history.end_write(token, cluster.sim().now(),
-                                                 r.value().ts);
-                               ++completed_ops;
-                             } else {
-                               history.abort(token);
-                               ++failed_ops;
-                               workload[ci].aborted = true;
-                             }
-                             step(ci, op + 1);
-                           });
-        } else {
-          const std::size_t token =
-              history.begin_read(wc.plan->id, object, cluster.sim().now());
-          wc.client->read(object,
-                          [&, ci, op, token](Result<core::Client::ReadResult> r) {
-                            if (r.is_ok()) {
-                              history.end_read(token, cluster.sim().now(),
-                                               r.value().ts, r.value().hash,
-                                               r.value().value);
-                              ++completed_ops;
-                            } else {
-                              history.abort(token);
-                              ++failed_ops;
-                              workload[ci].aborted = true;
-                            }
-                            step(ci, op + 1);
-                          });
-        }
-      };
-
-  for (std::size_t ci = 0; ci < workload.size(); ++ci) {
     WorkloadClient& wc = workload[ci];
     if (!wc.plan->pipelined) {
       step(ci, 0);
@@ -915,44 +411,62 @@ RunOutcome Explorer::run_scenario(const Scenario& s, std::ostream* trace_out) {
     }
   }
 
-  // --- Phase D: partition windows (delays relative to workload start). --
+  // --- Phase D: partition windows — the slot across every shard. --------
+  // Delays are relative to workload start.
+  std::vector<quorum::ClientId> party_ids;
+  party_ids.push_back(kProbeClient);
+  for (const ClientPlan& plan : s.clients) party_ids.push_back(plan.id);
+  for (const AttackPlan& plan : s.attacks) party_ids.push_back(plan.id);
   std::vector<sim::NodeId> party_nodes;
-  party_nodes.push_back(harness::client_node(kProbeClient));
-  for (const ClientPlan& plan : s.clients)
-    party_nodes.push_back(harness::client_node(plan.id));
-  for (const AttackPlan& plan : s.attacks)
-    party_nodes.push_back(harness::client_node(plan.id));
+  for (std::uint32_t sh = 0; sh < s.shards; ++sh) {
+    for (quorum::ClientId id : party_ids) {
+      party_nodes.push_back(harness::shard_client_node(sh, id));
+    }
+  }
   for (const PartitionPlan& p : s.partitions) {
     if (p.replica >= s.n()) continue;
-    cluster.sim().schedule(p.at, [&cluster, &party_nodes, p] {
-      for (sim::NodeId node : party_nodes) cluster.net().partition(p.replica, node);
+    cluster.sim().schedule(p.at, [&cluster, &party_nodes, p, shards = s.shards] {
+      for (std::uint32_t sh = 0; sh < shards; ++sh) {
+        const sim::NodeId node = harness::shard_replica_node(sh, p.replica);
+        for (sim::NodeId peer : party_nodes) cluster.net().partition(node, peer);
+      }
     });
-    cluster.sim().schedule(p.heal_at, [&cluster, &party_nodes, p] {
-      for (sim::NodeId node : party_nodes) cluster.net().heal(p.replica, node);
+    cluster.sim().schedule(p.heal_at, [&cluster, &party_nodes, p,
+                                       shards = s.shards] {
+      for (std::uint32_t sh = 0; sh < shards; ++sh) {
+        const sim::NodeId node = harness::shard_replica_node(sh, p.replica);
+        for (sim::NodeId peer : party_nodes) cluster.net().heal(node, peer);
+      }
     });
   }
 
-  // --- Phase D': crash/restart schedule. --------------------------------
+  // --- Phase D': crash/restart schedule — the slot in every group. ------
   // The crash cuts the replica off; the restart destroys it (true state
-  // loss), rebuilds it through the factory hook, and recovers its
-  // ObjectStates via STATE-XFER from the surviving quorum. Recovery is
-  // asynchronous — it completes during the remaining workload or the
-  // post-quiescence settle. Outlives the scheduled closures below.
+  // loss), rebuilds it through the factory hook, and recovers the
+  // shard's ObjectStates via STATE-XFER from the surviving quorum.
+  // Recovery is asynchronous — it completes during the remaining
+  // workload or the post-quiescence settle. Outlives the scheduled
+  // closures below.
   std::vector<quorum::ObjectId> all_objects;
   for (quorum::ObjectId obj = 1; obj <= s.objects; ++obj) {
     all_objects.push_back(obj);
   }
   for (const CrashPlan& c : s.crashes) {
     if (c.replica >= s.n()) continue;
+    const auto replica = static_cast<quorum::ReplicaId>(c.replica);
     history.record_crash(c.replica, c.at, c.restart_at);
-    cluster.sim().schedule(c.at, [&cluster, c] {
-      cluster.crash_replica(static_cast<quorum::ReplicaId>(c.replica));
+    cluster.sim().schedule(c.at, [&cluster, replica, shards = s.shards] {
+      for (std::uint32_t sh = 0; sh < shards; ++sh) {
+        cluster.crash_replica(replica, sh);
+      }
     });
     if (c.restart_at != 0) {
-      cluster.sim().schedule(c.restart_at, [&cluster, c, &all_objects] {
-        cluster.restart_replica(static_cast<quorum::ReplicaId>(c.replica),
-                                all_objects);
-      });
+      cluster.sim().schedule(
+          c.restart_at, [&cluster, replica, shards = s.shards, &all_objects] {
+            for (std::uint32_t sh = 0; sh < shards; ++sh) {
+              cluster.restart_replica(replica, all_objects, sh);
+            }
+          });
     }
   }
 
@@ -982,30 +496,38 @@ RunOutcome Explorer::run_scenario(const Scenario& s, std::ostream* trace_out) {
     // that probe for lurking writes.
     cluster.settle();
 
-    // --- Phase F: staged colluder replay after the stop. ----------------
+    // --- Phase F: staged colluder replay into the owning shard. ---------
     // Each stashed envelope is unleashed separately with a probe read in
     // between: every lurking write the replay manages to land must
     // surface as a distinct post-stop version, which is exactly what the
-    // checker's Theorem-1 frontier counts.
+    // checker's Theorem-1 frontier counts. Collusion groups are pooled
+    // below; independent stashes replay here.
+    auto replay = [&](std::vector<rpc::Envelope>& stash,
+                      rpc::Transport& colluder_transport, std::uint32_t home,
+                      quorum::ObjectId object) {
+      for (rpc::Envelope& env : stash) {
+        faults::Colluder colluder(colluder_transport,
+                                  cluster.replica_nodes(home));
+        colluder.stash(env);
+        colluder.unleash(2);
+        cluster.settle();
+        auto probed = rec.read(probe, object);
+        if (!probed.is_ok() && s.within_fault_budget()) {
+          fail("liveness: probe read failed during colluder replay");
+        }
+      }
+    };
     for (std::size_t i = 0; i < s.attacks.size(); ++i) {
       const AttackPlan plan = s.attacks[i];
       if (plan.kind != AttackKind::kLurkingStash || !plan.collude_replay ||
           plan.collusion_group != 0) {
         continue;
       }
+      const std::uint32_t home = cluster.shard_of(plan.object);
       auto colluder_transport = cluster.make_transport(
-          harness::client_node(kColluderNodeBase + static_cast<quorum::ClientId>(i)));
-      for (rpc::Envelope& env : stashes[i]) {
-        faults::Colluder colluder(*colluder_transport,
-                                  cluster.replica_nodes());
-        colluder.stash(env);
-        colluder.unleash(2);
-        cluster.settle();
-        auto probed = rec.read(probe, plan.object);
-        if (!probed.is_ok() && s.within_fault_budget()) {
-          fail("liveness: probe read failed during colluder replay");
-        }
-      }
+          harness::shard_client_node(
+              home, kColluderNodeBase + static_cast<quorum::ClientId>(i)));
+      replay(stashes[i], *colluder_transport, home, plan.object);
     }
 
     // Collusion groups: the members' stashes pool into ONE colluder and
@@ -1020,20 +542,13 @@ RunOutcome Explorer::run_scenario(const Scenario& s, std::ostream* trace_out) {
     }
     for (const auto& [gid, members] : collusion_groups) {
       const quorum::ObjectId target = s.attacks[members.front()].object;
-      auto colluder_transport = cluster.make_transport(harness::client_node(
-          kColluderNodeBase + 100 + static_cast<quorum::ClientId>(gid)));
+      const std::uint32_t home = cluster.shard_of(target);
+      auto colluder_transport = cluster.make_transport(
+          harness::shard_client_node(
+              home, kColluderNodeBase + 100 +
+                        static_cast<quorum::ClientId>(gid)));
       for (std::size_t i : members) {
-        for (rpc::Envelope& env : stashes[i]) {
-          faults::Colluder colluder(*colluder_transport,
-                                    cluster.replica_nodes());
-          colluder.stash(env);
-          colluder.unleash(2);
-          cluster.settle();
-          auto probed = rec.read(probe, target);
-          if (!probed.is_ok() && s.within_fault_budget()) {
-            fail("liveness: probe read failed during colluder replay");
-          }
-        }
+        replay(stashes[i], *colluder_transport, home, target);
       }
     }
 
@@ -1046,19 +561,21 @@ RunOutcome Explorer::run_scenario(const Scenario& s, std::ostream* trace_out) {
     }
   }
 
-  // --- Coverage extraction (the cluster is still alive). ----------------
+  // --- Coverage extraction (the fleet is still alive). ------------------
   std::set<std::string> sig;
   scenario_signals(s, sig);
   std::size_t plist_max = 0;
   std::size_t optlist_max = 0;
-  for (quorum::ReplicaId r = 0; r < s.n(); ++r) {
-    core::Replica& rep = cluster.replica(r);
-    counter_signals(rep.metrics(), "r:", sig);
-    for (quorum::ObjectId obj = 1; obj <= s.objects; ++obj) {
-      const core::ObjectState* state = rep.find_object(obj);
-      if (state == nullptr) continue;
-      plist_max = std::max(plist_max, state->plist().size());
-      optlist_max = std::max(optlist_max, state->optlist().size());
+  for (std::uint32_t sh = 0; sh < s.shards; ++sh) {
+    for (quorum::ReplicaId r = 0; r < s.n(); ++r) {
+      core::Replica& rep = cluster.replica(r, sh);
+      counter_signals(rep.metrics(), "r:", sig);
+      for (quorum::ObjectId obj = 1; obj <= s.objects; ++obj) {
+        const core::ObjectState* state = rep.find_object(obj);
+        if (state == nullptr) continue;
+        plist_max = std::max(plist_max, state->plist().size());
+        optlist_max = std::max(optlist_max, state->optlist().size());
+      }
     }
   }
   sig.insert("plist:" + std::to_string(log2_bucket(plist_max)));
@@ -1073,34 +590,33 @@ RunOutcome Explorer::run_scenario(const Scenario& s, std::ostream* trace_out) {
   }
   if (out.vacuous_attacks > 0) sig.insert("atk:vacuous");
 
-  // --- Verdict. ---------------------------------------------------------
-  if (std::getenv("BFTBC_EXPLORE_DUMP_HISTORY") != nullptr) {
-    for (const checker::Operation& op : history.operations()) {
-      std::fprintf(stderr,
-                   "op c=%llu obj=%llu %s inv=%llu resp=%llu ts=(%llu,%llu)\n",
-                   static_cast<unsigned long long>(op.client),
-                   static_cast<unsigned long long>(op.object),
-                   op.kind == checker::OpKind::kWrite ? "W" : "R",
-                   static_cast<unsigned long long>(op.invoked),
-                   static_cast<unsigned long long>(op.responded),
-                   static_cast<unsigned long long>(op.version.ts.val),
-                   static_cast<unsigned long long>(op.version.ts.id));
-    }
-    for (const checker::StopEvent& stop : history.stops()) {
-      std::fprintf(stderr, "stop c=%llu at=%llu\n",
-                   static_cast<unsigned long long>(stop.client),
-                   static_cast<unsigned long long>(stop.at));
-    }
-  }
+  // --- Verdict: split the history and check each shard on its own. ------
+  // Multi-shard runs also record one verdict and one ok/fail signal per
+  // shard, and name the failing shard.
   std::set<checker::ClientId> bad_clients;
   for (const AttackPlan& plan : s.attacks) bad_clients.insert(plan.id);
-  const checker::CheckResult check =
-      checker::check_bft_linearizability(history, bad_clients);
-  out.max_lurking = check.max_lurking();
-  checker_signals(check, s, sig);
-  out.safety_ok = s.mode == Mode::kStrong ? check.ok_plus(s.max_b(), 2)
-                                          : check.ok(s.max_b());
-  if (!out.safety_ok) out.failure = "safety: " + check.summary();
+  const shard::ShardMap& map = cluster.map();
+  const std::vector<checker::History> parts = checker::split_history(
+      history, s.shards,
+      [&map](checker::ObjectId object) { return map.shard_of(object); });
+  for (std::uint32_t sh = 0; sh < s.shards; ++sh) {
+    const checker::CheckResult check =
+        checker::check_bft_linearizability(parts[sh], bad_clients);
+    out.max_lurking = std::max(out.max_lurking, check.max_lurking());
+    checker_signals(check, s, sig);
+    const bool ok = s.mode == Mode::kStrong ? check.ok_plus(s.max_b(), 2)
+                                            : check.ok(s.max_b());
+    if (sharded) {
+      out.shard_verdicts.push_back(ok ? "ok" : check.summary());
+      sig.insert("shard" + std::to_string(sh) + (ok ? ":ok" : ":fail"));
+    }
+    if (!ok && out.safety_ok) {
+      out.safety_ok = false;
+      out.failure = "safety: " +
+                    (sharded ? "shard " + std::to_string(sh) + ": " : "") +
+                    check.summary();
+    }
+  }
 
   out.events = cluster.sim().executed_events();
   out.history_ops = history.completed_count();

@@ -3,12 +3,14 @@
 // fully deterministic on the discrete-event simulator).
 //
 // explore() samples and runs N scenarios derived from a base seed. Every
-// run drives a harness::Cluster, records correct-client operations
-// through harness/recording.h into a checker::History, and holds the
-// result to the mode-correct bound: CheckResult::ok(1) for base,
-// ok(2) for optimized, ok_plus(1, 2) for strong (§7 overwrite masking).
-// Liveness is asserted too: within the fault budget, every operation and
-// attack must finish inside the event budget.
+// run — one replica group or several — goes through the one runner,
+// run_scenario(): it drives a harness::Cluster of Scenario::shards
+// groups through routing clients, records correct-client operations
+// through harness/recording.h into a checker::History, and holds each
+// shard's slice of it to the mode-correct bound: CheckResult::ok(1) for
+// base, ok(2) for optimized, ok_plus(1, 2) for strong (§7 overwrite
+// masking). Liveness is asserted too: within the fault budget, every
+// operation and attack must finish inside the event budget.
 //
 // On failure the explorer greedily shrinks the scenario — drop clients,
 // attacks, Byzantine replicas, and partitions; halve op counts and stash
@@ -62,7 +64,8 @@ struct RunOutcome {
   std::string failure;
   // Multi-shard runs only: one verdict per shard from its own checker
   // instance over its slice of the split history — "ok" or the checker
-  // summary. Empty for single-group runs.
+  // summary. Empty for single-group runs, which also carry no
+  // "shard<s>:ok|fail" signals and no "shard <s>: " failure prefix.
   std::vector<std::string> shard_verdicts;
 
   bool failed() const { return !failure.empty(); }
@@ -135,10 +138,9 @@ class Explorer {
   Report explore();
 
   // Execute one scenario start to finish; when `trace_out` is non-null
-  // the cluster's event ring buffer is dumped into it at the end.
-  // Scenarios with shards > 1 run on a ShardedCluster through routing
-  // clients, and the verdict is taken per shard (RunOutcome::
-  // shard_verdicts) over the split history.
+  // the cluster's event ring buffer (every shard's traffic) is dumped
+  // into it at the end. With shards > 1 the outcome also names the
+  // verdict of each shard (RunOutcome::shard_verdicts).
   RunOutcome run_scenario(const Scenario& scenario,
                           std::ostream* trace_out = nullptr);
 

@@ -5,8 +5,9 @@
 // f ∈ {1,2}, the three protocol modes, LinkConfig adversity knobs,
 // correct-client workload mixes (including pipelined submit_write and
 // mid-run stops), the four §3.2 attack clients (with replay-after-stop
-// through a Colluder), Byzantine replica slots, and replica partition
-// windows.
+// through a Colluder), Byzantine replica slots, replica partition
+// windows and crash/restart plans, and the number of replica groups
+// (shards).
 //
 // Scenarios are JSON-serializable both ways: to_json() via the metrics
 // JsonWriter (the same emitter the bench pipeline uses), from_json() via
@@ -120,10 +121,10 @@ struct Scenario {
   // detects and shrinks real violations. sample() always keeps it true.
   bool enforce_fault_budget = true;
   std::uint32_t objects = 1;
-  // Number of independent replica groups. 1 = the classic single-group
-  // run; >1 drives a ShardedCluster through routing clients and the
-  // checker verdict becomes per-shard (split_history + one checker
-  // instance per shard). Byzantine slots apply to the same slot in every
+  // Number of independent replica groups in the harness::Cluster. Every
+  // run goes through routing clients and takes its verdict per shard
+  // (split_history + one checker instance per shard); 1 = the classic
+  // single-group run. Byzantine slots apply to the same slot in every
   // shard; partitions cut the slot across all shards; attacks aim at the
   // shard owning their object.
   std::uint32_t shards = 1;

@@ -10,7 +10,7 @@ AttackClientBase::AttackClientBase(const quorum::QuorumConfig& config,
                                    quorum::ClientId id,
                                    crypto::Keystore& keystore,
                                    rpc::Transport& transport,
-                                   sim::Simulator& simulator,
+                                   sim::Scheduler& scheduler,
                                    std::vector<sim::NodeId> replica_nodes,
                                    Rng rng)
     : config_(config),
@@ -18,7 +18,7 @@ AttackClientBase::AttackClientBase(const quorum::QuorumConfig& config,
       keystore_(keystore),
       signer_(keystore.register_principal(quorum::client_principal(id))),
       transport_(transport),
-      sim_(simulator),
+      sim_(scheduler),
       replica_nodes_(std::move(replica_nodes)),
       nonces_(id, rng) {
   transport_.set_receiver([this](sim::NodeId from, const rpc::Envelope& env) {

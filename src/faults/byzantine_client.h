@@ -51,7 +51,7 @@ class AttackClientBase {
  public:
   AttackClientBase(const quorum::QuorumConfig& config, quorum::ClientId id,
                    crypto::Keystore& keystore, rpc::Transport& transport,
-                   sim::Simulator& simulator,
+                   sim::Scheduler& scheduler,
                    std::vector<sim::NodeId> replica_nodes, Rng rng);
   virtual ~AttackClientBase() = default;
 
@@ -101,7 +101,7 @@ class AttackClientBase {
   crypto::Keystore& keystore_;
   crypto::Signer signer_;
   rpc::Transport& transport_;
-  sim::Simulator& sim_;
+  sim::Scheduler& sim_;
   std::vector<sim::NodeId> replica_nodes_;
   crypto::NonceGenerator nonces_;
   Counters metrics_;

@@ -1,6 +1,8 @@
-// Harnesses for the baseline protocols (classic BQS and Phalanx-style),
-// mirroring harness::Cluster for BFT-BC so benches can sweep all three
-// protocols with the same driver code.
+// Harnesses for the baseline protocols (classic BQS, Phalanx-style and
+// SBQ-L), mirroring a one-shard harness::Cluster for BFT-BC so benches
+// can sweep every protocol with the same bench code. They share its
+// node addressing (replica_nodes, client_node) and its synchronous-op
+// helper (run_op) at the simulator's default event cap.
 #pragma once
 
 #include <map>
@@ -44,9 +46,7 @@ class BqsCluster {
   baselines::BqsReplica& replica(quorum::ReplicaId r) { return *replicas_[r]; }
 
   std::vector<sim::NodeId> replica_nodes() const {
-    std::vector<sim::NodeId> nodes(config_.n);
-    for (quorum::ReplicaId r = 0; r < config_.n; ++r) nodes[r] = r;
-    return nodes;
+    return harness::replica_nodes(config_.n);
   }
 
   baselines::BqsClient& add_client(quorum::ClientId id) {
@@ -68,25 +68,18 @@ class BqsCluster {
   Result<baselines::BqsClient::WriteResult> write(baselines::BqsClient& c,
                                                   quorum::ObjectId object,
                                                   Bytes value) {
-    std::optional<Result<baselines::BqsClient::WriteResult>> result;
-    c.write(object, std::move(value),
-            [&](Result<baselines::BqsClient::WriteResult> r) {
-              result = std::move(r);
-            });
-    sim_.run_while_pending([&] { return !result.has_value(); });
-    if (!result) return Status(StatusCode::kInternal, "sim drained");
-    return *result;
+    return run_op<baselines::BqsClient::WriteResult>(
+        sim_, [&](baselines::BqsClient::WriteCallback done) {
+          c.write(object, std::move(value), std::move(done));
+        });
   }
 
   Result<baselines::BqsClient::ReadResult> read(baselines::BqsClient& c,
                                                 quorum::ObjectId object) {
-    std::optional<Result<baselines::BqsClient::ReadResult>> result;
-    c.read(object, [&](Result<baselines::BqsClient::ReadResult> r) {
-      result = std::move(r);
-    });
-    sim_.run_while_pending([&] { return !result.has_value(); });
-    if (!result) return Status(StatusCode::kInternal, "sim drained");
-    return std::move(*result);
+    return run_op<baselines::BqsClient::ReadResult>(
+        sim_, [&](baselines::BqsClient::ReadCallback done) {
+          c.read(object, std::move(done));
+        });
   }
 
  private:
@@ -111,8 +104,7 @@ class PhalanxCluster {
         rng_(options.seed),
         net_(sim_, rng_.split(), options.link),
         keystore_(crypto::SignatureScheme::kHmacSim, options.seed ^ 0x9a1) {
-    std::vector<sim::NodeId> peers(config_.n);
-    for (quorum::ReplicaId r = 0; r < config_.n; ++r) peers[r] = r;
+    const std::vector<sim::NodeId> peers = replica_nodes();
     for (quorum::ReplicaId r = 0; r < config_.n; ++r) {
       auto t = std::make_unique<rpc::SimTransport>(net_, r);
       replicas_.push_back(std::make_unique<baselines::PhalanxReplica>(
@@ -129,9 +121,7 @@ class PhalanxCluster {
   }
 
   std::vector<sim::NodeId> replica_nodes() const {
-    std::vector<sim::NodeId> nodes(config_.n);
-    for (quorum::ReplicaId r = 0; r < config_.n; ++r) nodes[r] = r;
-    return nodes;
+    return harness::replica_nodes(config_.n);
   }
 
   baselines::PhalanxClient& add_client(quorum::ClientId id) {
@@ -152,25 +142,18 @@ class PhalanxCluster {
 
   Result<baselines::PhalanxClient::WriteResult> write(
       baselines::PhalanxClient& c, quorum::ObjectId object, Bytes value) {
-    std::optional<Result<baselines::PhalanxClient::WriteResult>> result;
-    c.write(object, std::move(value),
-            [&](Result<baselines::PhalanxClient::WriteResult> r) {
-              result = std::move(r);
-            });
-    sim_.run_while_pending([&] { return !result.has_value(); });
-    if (!result) return Status(StatusCode::kInternal, "sim drained");
-    return *result;
+    return run_op<baselines::PhalanxClient::WriteResult>(
+        sim_, [&](baselines::PhalanxClient::WriteCallback done) {
+          c.write(object, std::move(value), std::move(done));
+        });
   }
 
-  Result<baselines::PhalanxClient::ReadResult> read(
-      baselines::PhalanxClient& c, quorum::ObjectId object) {
-    std::optional<Result<baselines::PhalanxClient::ReadResult>> result;
-    c.read(object, [&](Result<baselines::PhalanxClient::ReadResult> r) {
-      result = std::move(r);
-    });
-    sim_.run_while_pending([&] { return !result.has_value(); });
-    if (!result) return Status(StatusCode::kInternal, "sim drained");
-    return std::move(*result);
+  Result<baselines::PhalanxClient::ReadResult> read(baselines::PhalanxClient& c,
+                                                    quorum::ObjectId object) {
+    return run_op<baselines::PhalanxClient::ReadResult>(
+        sim_, [&](baselines::PhalanxClient::ReadCallback done) {
+          c.read(object, std::move(done));
+        });
   }
 
   void settle() { sim_.run(); }
@@ -199,8 +182,7 @@ class SbqlCluster {
         rng_(options.seed),
         net_(sim_, rng_.split(), options.link),
         keystore_(crypto::SignatureScheme::kHmacSim, options.seed ^ 0x5b1) {
-    std::vector<sim::NodeId> peers(config_.n);
-    for (quorum::ReplicaId r = 0; r < config_.n; ++r) peers[r] = r;
+    const std::vector<sim::NodeId> peers = replica_nodes();
     for (quorum::ReplicaId r = 0; r < config_.n; ++r) {
       auto t = std::make_unique<rpc::SimTransport>(net_, r);
       replicas_.push_back(std::make_unique<baselines::SbqlReplica>(
@@ -215,9 +197,7 @@ class SbqlCluster {
   baselines::SbqlReplica& replica(quorum::ReplicaId r) { return *replicas_[r]; }
 
   std::vector<sim::NodeId> replica_nodes() const {
-    std::vector<sim::NodeId> nodes(config_.n);
-    for (quorum::ReplicaId r = 0; r < config_.n; ++r) nodes[r] = r;
-    return nodes;
+    return harness::replica_nodes(config_.n);
   }
 
   baselines::SbqlClient& add_client(quorum::ClientId id) {
@@ -235,25 +215,18 @@ class SbqlCluster {
   Result<baselines::SbqlClient::WriteResult> write(baselines::SbqlClient& c,
                                                    quorum::ObjectId object,
                                                    Bytes value) {
-    std::optional<Result<baselines::SbqlClient::WriteResult>> result;
-    c.write(object, std::move(value),
-            [&](Result<baselines::SbqlClient::WriteResult> r) {
-              result = std::move(r);
-            });
-    sim_.run_while_pending([&] { return !result.has_value(); });
-    if (!result) return Status(StatusCode::kInternal, "sim drained");
-    return *result;
+    return run_op<baselines::SbqlClient::WriteResult>(
+        sim_, [&](baselines::SbqlClient::WriteCallback done) {
+          c.write(object, std::move(value), std::move(done));
+        });
   }
 
   Result<baselines::SbqlClient::ReadResult> read(baselines::SbqlClient& c,
                                                  quorum::ObjectId object) {
-    std::optional<Result<baselines::SbqlClient::ReadResult>> result;
-    c.read(object, [&](Result<baselines::SbqlClient::ReadResult> r) {
-      result = std::move(r);
-    });
-    sim_.run_while_pending([&] { return !result.has_value(); });
-    if (!result) return Status(StatusCode::kInternal, "sim drained");
-    return std::move(*result);
+    return run_op<baselines::SbqlClient::ReadResult>(
+        sim_, [&](baselines::SbqlClient::ReadCallback done) {
+          c.read(object, std::move(done));
+        });
   }
 
   // Total reliable-forward buffer across all replicas (the unbounded

@@ -1,6 +1,7 @@
-// Recorder: drives client operations synchronously while logging them
-// into a checker::History — the bridge between the harness and the
-// BFT-linearizability checker.
+// Recorder: drives routed client operations synchronously while logging
+// them into a checker::History — the bridge between the harness and the
+// BFT-linearizability checker. At S > 1 the history spans every shard;
+// split it with checker::split_history before checking.
 #pragma once
 
 #include "checker/history.h"
@@ -13,7 +14,7 @@ class Recorder {
   Recorder(Cluster& cluster, checker::History& history)
       : cluster_(cluster), history_(history) {}
 
-  Result<core::Client::WriteResult> write(core::Client& c,
+  Result<core::Client::WriteResult> write(shard::RoutingClient& c,
                                           quorum::ObjectId object,
                                           Bytes value) {
     const std::size_t token =
@@ -27,7 +28,7 @@ class Recorder {
     return result;
   }
 
-  Result<core::Client::ReadResult> read(core::Client& c,
+  Result<core::Client::ReadResult> read(shard::RoutingClient& c,
                                         quorum::ObjectId object) {
     const std::size_t token =
         history_.begin_read(c.id(), object, cluster_.sim().now());

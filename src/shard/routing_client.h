@@ -57,6 +57,8 @@ class RoutingClient {
                 sim::Scheduler& scheduler,
                 RoutingClientOptions options = RoutingClientOptions());
 
+  // The client id every leg shares.
+  quorum::ClientId id() const { return clients_.front()->id(); }
   std::uint32_t shards() const { return map_.shards(); }
   const ShardMap& map() const { return map_; }
   std::uint32_t shard_of(quorum::ObjectId object) const {

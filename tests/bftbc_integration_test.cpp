@@ -224,7 +224,7 @@ TEST(BftBcPhaseTest, OptimizedUncontendedWriteTakesTwoPhases) {
     ASSERT_TRUE(w.is_ok());
     EXPECT_EQ(w.value().phases, 2) << "write " << i;
   }
-  EXPECT_EQ(c.metrics().get("opt_fast_writes"), 3u);
+  EXPECT_EQ(c.shard_client(0).metrics().get("opt_fast_writes"), 3u);
 }
 
 TEST(BftBcPhaseTest, StrongUncontendedWriteStaysThreePhases) {
@@ -237,7 +237,7 @@ TEST(BftBcPhaseTest, StrongUncontendedWriteStaysThreePhases) {
     ASSERT_TRUE(w.is_ok());
     EXPECT_EQ(w.value().phases, 3) << "write " << i;
   }
-  EXPECT_EQ(c.metrics().get("internal_reads"), 0u);
+  EXPECT_EQ(c.shard_client(0).metrics().get("internal_reads"), 0u);
 }
 
 TEST(BftBcPhaseTest, ConcurrentOptimizedWritersFallBack) {

@@ -14,6 +14,8 @@
 #include "faults/byzantine_replica.h"
 #include "harness/cluster.h"
 #include "harness/recording.h"
+#include "net/event_loop.h"
+#include "net/udp_transport.h"
 
 namespace bftbc {
 namespace {
@@ -22,15 +24,7 @@ using checker::check_bft_linearizability;
 using harness::Cluster;
 using harness::ClusterOptions;
 using harness::Recorder;
-
-template <typename ByzReplica>
-harness::ReplicaFactory byz_factory() {
-  return [](const quorum::QuorumConfig& cfg, quorum::ReplicaId id,
-            crypto::Keystore& ks, rpc::Transport& t, sim::Simulator& s,
-            const core::ReplicaOptions& opts) -> std::unique_ptr<core::Replica> {
-    return std::make_unique<ByzReplica>(cfg, id, ks, t, s, opts);
-  };
-}
+using harness::replica_factory;
 
 // Builds an attack client on its own transport.
 template <typename Attack>
@@ -67,7 +61,7 @@ TEST(ByzantineClientTest, EquivocationWithAccompliceYieldsAtMostOneValue) {
   // a CORRECT replica to double-sign — impossible. At most one value
   // can gather a certificate.
   ClusterOptions o;
-  o.replica_factories[0] = byz_factory<faults::EquivocSignReplica>();
+  o.replica_factories[0] = replica_factory<faults::EquivocSignReplica>();
   Cluster cluster(o);
   auto transport = cluster.make_transport(harness::client_node(66));
   auto attacker =
@@ -156,6 +150,70 @@ TEST(ByzantineClientTest, TimestampExhaustionRefused) {
   auto w = cluster.write(good, 1, to_bytes("v1"));
   ASSERT_TRUE(w.is_ok());
   EXPECT_EQ(w.value().ts.val, 2u);
+}
+
+// The same attack on the live stack: four replicas, a correct client and
+// a real TimestampHog on one net::EventLoop, each node on its own
+// loopback UdpTransport.
+TEST(ByzantineClientTest, TimestampExhaustionRefusedOverUdp) {
+  constexpr sim::Time kWait = 5 * sim::kSecond;
+  const quorum::QuorumConfig config = quorum::QuorumConfig::bft_bc(1);
+  crypto::Keystore keystore;
+  net::EventLoop loop;
+  const auto localhost = net::UdpEndpoint::parse("127.0.0.1", 0);
+  ASSERT_TRUE(localhost.has_value());
+
+  // Transports first, so every node is destroyed before its socket.
+  std::vector<std::unique_ptr<net::UdpTransport>> replica_udp;
+  std::map<sim::NodeId, net::UdpEndpoint> endpoints;
+  for (quorum::ReplicaId r = 0; r < config.n; ++r) {
+    replica_udp.push_back(std::make_unique<net::UdpTransport>(
+        loop, r, *localhost, std::map<sim::NodeId, net::UdpEndpoint>{}));
+    ASSERT_TRUE(replica_udp.back()->valid());
+    endpoints[r] = *localhost;
+    endpoints[r].port = replica_udp.back()->local_port();
+  }
+  net::UdpTransport good_udp(loop, harness::client_node(1), *localhost,
+                             endpoints);
+  net::UdpTransport hog_udp(loop, harness::client_node(66), *localhost,
+                            endpoints);
+  ASSERT_TRUE(good_udp.valid());
+  ASSERT_TRUE(hog_udp.valid());
+
+  std::vector<std::unique_ptr<core::Replica>> replicas;
+  for (quorum::ReplicaId r = 0; r < config.n; ++r) {
+    replicas.push_back(std::make_unique<core::Replica>(
+        config, r, keystore, *replica_udp[r], loop));
+    replicas.back()->authorize(1);
+  }
+  const std::vector<sim::NodeId> targets = harness::replica_nodes(config.n);
+  core::Client good(config, 1, keystore, good_udp, loop, targets, Rng(1));
+  faults::TimestampHog hog(config, 66, keystore, hog_udp, loop, targets,
+                           Rng(2));
+
+  auto write = [&](const char* value) {
+    std::optional<Result<core::Client::WriteResult>> result;
+    good.write(1, to_bytes(value),
+               [&](Result<core::Client::WriteResult> r) {
+                 result = std::move(r);
+               });
+    EXPECT_TRUE(loop.run_until([&] { return result.has_value(); }, kWait));
+    return result;
+  };
+  auto first = write("v0");
+  ASSERT_TRUE(first.has_value() && first->is_ok());
+
+  std::optional<faults::TimestampHog::Outcome> outcome;
+  hog.attack(1, /*jump=*/1'000'000, /*attempts=*/5,
+             [&](faults::TimestampHog::Outcome o) { outcome = o; });
+  ASSERT_TRUE(loop.run_until([&] { return outcome.has_value(); }, kWait));
+  EXPECT_EQ(outcome->attempts, 5u);
+  EXPECT_EQ(outcome->accepted, 0u)
+      << "correct replicas must drop unjustified timestamps";
+
+  auto next = write("v1");
+  ASSERT_TRUE(next.has_value() && next->is_ok());
+  EXPECT_EQ(next->value().ts.val, 2u);
 }
 
 // ------------------------------------------------------------ attack 4
@@ -310,7 +368,8 @@ TEST(ByzantineClientTest, CartelChainsPreparesInBaseProtocol) {
 
     quorum::PrepareCertificate justification =
         cluster.replica(0).find_object(1)->pcert();
-    std::optional<quorum::WriteCertificate> wcert = good.last_write_cert(1);
+    std::optional<quorum::WriteCertificate> wcert =
+        good.shard_client(0).last_write_cert(1);
 
     constexpr int kCartel = 3;
     std::vector<std::unique_ptr<rpc::Transport>> transports;
@@ -383,13 +442,14 @@ TEST_P(ByzantineReplicaTest, SafetyAndLivenessWithFByzantineReplicas) {
 INSTANTIATE_TEST_SUITE_P(
     Attacks, ByzantineReplicaTest,
     ::testing::Values(
-        ReplicaAttackParam{&byz_factory<faults::SilentReplica>, "silent"},
-        ReplicaAttackParam{&byz_factory<faults::StaleReplica>, "stale"},
-        ReplicaAttackParam{&byz_factory<faults::GarbageSigReplica>,
+        ReplicaAttackParam{&replica_factory<faults::SilentReplica>,
+                           "silent"},
+        ReplicaAttackParam{&replica_factory<faults::StaleReplica>, "stale"},
+        ReplicaAttackParam{&replica_factory<faults::GarbageSigReplica>,
                            "garbage_sig"},
-        ReplicaAttackParam{&byz_factory<faults::EquivocSignReplica>,
+        ReplicaAttackParam{&replica_factory<faults::EquivocSignReplica>,
                            "equivoc_sign"},
-        ReplicaAttackParam{&byz_factory<faults::FlipValueReplica>,
+        ReplicaAttackParam{&replica_factory<faults::FlipValueReplica>,
                            "flip_value"}),
     [](const auto& info) { return std::string(info.param.name); });
 
@@ -397,8 +457,8 @@ TEST(ByzantineReplicaTest, TwoByzantineSpeciesWithF2) {
   ClusterOptions o;
   o.f = 2;  // n = 7, q = 5
   o.seed = 77;
-  o.replica_factories[1] = byz_factory<faults::GarbageSigReplica>();
-  o.replica_factories[5] = byz_factory<faults::StaleReplica>();
+  o.replica_factories[1] = replica_factory<faults::GarbageSigReplica>();
+  o.replica_factories[5] = replica_factory<faults::StaleReplica>();
   Cluster cluster(o);
 
   checker::History history;
@@ -417,7 +477,7 @@ TEST(ByzantineReplicaTest, TwoByzantineSpeciesWithF2) {
 // The FlipValueReplica's lie must never reach a reader's result.
 TEST(ByzantineReplicaTest, FlippedValuesNeverReturned) {
   ClusterOptions o;
-  o.replica_factories[0] = byz_factory<faults::FlipValueReplica>();
+  o.replica_factories[0] = replica_factory<faults::FlipValueReplica>();
   Cluster cluster(o);
   auto& c = cluster.add_client(1);
   ASSERT_TRUE(cluster.write(c, 1, to_bytes("truth")).is_ok());

@@ -8,6 +8,8 @@
 
 #include <algorithm>
 #include <set>
+#include <sstream>
+#include <string>
 
 #include "explore/corpus.h"
 #include "explore/coverage.h"
@@ -286,6 +288,72 @@ TEST(ExplorerTest, MultiShardViolationNamesTheGuiltyShard) {
     if (verdict != "ok") ++bad;
   }
   EXPECT_EQ(bad, 1);
+}
+
+// A small clean scenario whose probe seeds objects on both groups when
+// run with two shards (objects 1 and 3 live on shard 1, 2 and 4 on 0).
+Scenario shard_layout_scenario(std::uint32_t shards) {
+  Scenario s;
+  s.seed = 11;
+  s.f = 1;
+  s.shards = shards;
+  s.objects = 4;
+  ClientPlan seq;
+  seq.id = 1;
+  seq.ops = 4;
+  s.clients = {seq};
+  return s;
+}
+
+// Sender node ids of every SEND line in an event-ring dump.
+std::set<std::uint64_t> trace_senders(const std::string& dump) {
+  std::set<std::uint64_t> senders;
+  std::istringstream lines(dump);
+  std::string line;
+  while (std::getline(lines, line)) {
+    const std::size_t at = line.find(" SEND ");
+    if (at == std::string::npos) continue;
+    senders.insert(std::stoull(line.substr(at + 6)));
+  }
+  return senders;
+}
+
+TEST(ExplorerTest, MultiShardTraceHoldsBothGroups) {
+  // The event ring covers every shard: replies leave both groups'
+  // replica nodes (shard s, replica r at s * 0x100 + r).
+  std::ostringstream trace;
+  const RunOutcome outcome =
+      Explorer(ExplorerOptions{}).run_scenario(shard_layout_scenario(2),
+                                               &trace);
+  EXPECT_FALSE(outcome.failed()) << outcome.failure;
+  const std::set<std::uint64_t> senders = trace_senders(trace.str());
+  bool group0 = false;
+  bool group1 = false;
+  for (std::uint64_t node : senders) {
+    group0 = group0 || node < 4;
+    group1 = group1 || (node >= 0x100 && node < 0x104);
+  }
+  EXPECT_TRUE(group0) << trace.str();
+  EXPECT_TRUE(group1) << trace.str();
+}
+
+TEST(ExplorerTest, SingleGroupOutcomeCarriesNoShardEntries) {
+  // At one shard the runner adds no per-shard verdicts, signals or
+  // failure prefix, and every node sits in the single-group layout.
+  std::ostringstream trace;
+  const RunOutcome outcome =
+      Explorer(ExplorerOptions{}).run_scenario(shard_layout_scenario(1),
+                                               &trace);
+  EXPECT_FALSE(outcome.failed()) << outcome.failure;
+  EXPECT_TRUE(outcome.shard_verdicts.empty());
+  for (const std::string& signal : outcome.signals) {
+    EXPECT_NE(signal.rfind("shard", 0), 0u) << signal;
+  }
+  const std::set<std::uint64_t> senders = trace_senders(trace.str());
+  ASSERT_FALSE(senders.empty());
+  for (std::uint64_t node : senders) {
+    EXPECT_TRUE(node < 4 || (node >= 0x10000 && node < 0x20000)) << node;
+  }
 }
 
 // ------------------------------------------------------------------

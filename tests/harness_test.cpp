@@ -2,7 +2,9 @@
 // failure paths, and Cluster configuration knobs not covered elsewhere.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <sstream>
+#include <string>
 
 #include "checker/bft_linearizability.h"
 #include "harness/cluster.h"
@@ -79,12 +81,12 @@ TEST(ClusterTest, PerClientOptionsOverrideDefaults) {
   Cluster cluster(o);
   // Default-built client inherits optimized mode...
   auto& fast = cluster.add_client(1);
-  EXPECT_TRUE(fast.options().optimized);
+  EXPECT_TRUE(fast.shard_client(0).options().optimized);
   // ...but explicit options win.
   core::ClientOptions plain;
   plain.optimized = false;
   auto& slow = cluster.add_client(2, plain);
-  EXPECT_FALSE(slow.options().optimized);
+  EXPECT_FALSE(slow.shard_client(0).options().optimized);
 }
 
 TEST(ClusterTest, ReplicaFactorySlotsApplied) {
@@ -93,7 +95,7 @@ TEST(ClusterTest, ReplicaFactorySlotsApplied) {
   o.replica_factories[2] = [&factory_calls](
                                const quorum::QuorumConfig& cfg,
                                quorum::ReplicaId id, crypto::Keystore& ks,
-                               rpc::Transport& t, sim::Simulator& s,
+                               rpc::Transport& t, sim::Scheduler& s,
                                const core::ReplicaOptions& opts)
       -> std::unique_ptr<core::Replica> {
     ++factory_calls;
@@ -135,11 +137,13 @@ TEST(ClusterTest, PipelinedWritesKeepPerObjectOrder) {
                      commits[obj].push_back(r.value().ts);
                    });
   }
-  EXPECT_LE(c.inflight_writes(), 2u);
+  // The window is the protocol client's own (one shard, one leg).
+  const core::Client& leg = c.shard_client(0);
+  EXPECT_LE(leg.inflight_writes(), 2u);
   ASSERT_TRUE(cluster.run_until([&] { return done == 9; }));
-  EXPECT_EQ(c.queued_writes(), 0u);
-  EXPECT_LE(c.metrics().get("inflight_peak"), 2u);
-  EXPECT_GT(c.metrics().get("queued_writes"), 0u);
+  EXPECT_EQ(leg.queued_writes(), 0u);
+  EXPECT_LE(leg.metrics().get("inflight_peak"), 2u);
+  EXPECT_GT(leg.metrics().get("queued_writes"), 0u);
   for (const auto& [obj, ts] : commits) {
     ASSERT_EQ(ts.size(), 3u) << "object " << obj;
     EXPECT_LT(ts[0], ts[1]) << "object " << obj;
@@ -292,6 +296,94 @@ TEST(ClusterRestartTest, RecoveryIsDeterministic) {
     return cluster.sim().now();
   };
   EXPECT_EQ(run(7), run(7));
+}
+
+// ------------------------------------------------------------------
+// Node and metric layout: the committed BENCH_*.json baselines read the
+// single-group names, so S = 1 must keep them exactly.
+
+// Every counter, gauge, summary and histogram name in the registry.
+std::set<std::string> metric_names(metrics::MetricsRegistry& reg) {
+  std::set<std::string> names;
+  for (const auto* table :
+       {&reg.counter_names(), &reg.gauge_names(), &reg.summary_names(),
+        &reg.histogram_names()}) {
+    for (const auto& entry : *table) names.insert(entry.first);
+  }
+  return names;
+}
+
+bool any_name_starts_with(const std::set<std::string>& names,
+                          const std::string& prefix) {
+  for (const std::string& name : names) {
+    if (name.rfind(prefix, 0) == 0) return true;
+  }
+  return false;
+}
+
+TEST(ClusterLayoutTest, SingleGroupKeepsUnscopedNodesAndNames) {
+  Cluster cluster;
+  ASSERT_EQ(cluster.shards(), 1u);
+  const std::vector<sim::NodeId> nodes = cluster.replica_nodes();
+  ASSERT_EQ(nodes.size(), cluster.config().n);
+  for (quorum::ReplicaId r = 0; r < cluster.config().n; ++r) {
+    EXPECT_EQ(nodes[r], r);
+  }
+  auto& a = cluster.add_client(1);
+  auto& b = cluster.add_client(2);
+  ASSERT_TRUE(cluster.write(a, 1, to_bytes("x")).is_ok());
+  ASSERT_TRUE(cluster.read(b, 1).is_ok());
+
+  // Client legs send from kClientNodeBase + c.
+  std::set<std::uint64_t> senders;
+  for (const auto& event : cluster.tracer().events()) {
+    if (event.kind == metrics::TraceKind::kMsgSend) senders.insert(event.a);
+  }
+  EXPECT_EQ(senders.count(kClientNodeBase + 1), 1u);
+  EXPECT_EQ(senders.count(kClientNodeBase + 2), 1u);
+  for (std::uint64_t node : senders) {
+    EXPECT_TRUE(node < cluster.config().n ||
+                node == kClientNodeBase + 1 || node == kClientNodeBase + 2)
+        << node;
+  }
+
+  const std::set<std::string> names = metric_names(cluster.snapshot_metrics());
+  EXPECT_TRUE(any_name_starts_with(names, "replica/0/"));
+  EXPECT_TRUE(any_name_starts_with(names, "client/1/"));
+  EXPECT_EQ(names.count("client/1/writes"), 1u);
+  EXPECT_EQ(names.count("client/2/reads"), 1u);
+  EXPECT_EQ(names.count("client.write.total_ms"), 1u);
+  EXPECT_EQ(names.count("client.read.total_ms"), 1u);
+  EXPECT_FALSE(any_name_starts_with(names, "shard/"));
+  for (const std::string& name : names) {
+    EXPECT_EQ(name.find("#2"), std::string::npos) << name;
+  }
+}
+
+TEST(ClusterLayoutTest, MultiShardNamesCarryShardScope) {
+  ClusterOptions o;
+  o.shards = 2;
+  Cluster cluster(o);
+  for (quorum::ReplicaId r = 0; r < cluster.config().n; ++r) {
+    EXPECT_EQ(cluster.replica_nodes(0)[r], r);
+    EXPECT_EQ(cluster.replica_nodes(1)[r], kShardNodeStride + r);
+  }
+  auto& c = cluster.add_client(1);
+  // Object 1 lives on shard 1, object 2 on shard 0.
+  ASSERT_TRUE(cluster.write(c, 1, to_bytes("one")).is_ok());
+  ASSERT_TRUE(cluster.write(c, 2, to_bytes("two")).is_ok());
+
+  const std::set<std::string> names = metric_names(cluster.snapshot_metrics());
+  EXPECT_TRUE(any_name_starts_with(names, "shard/0/replica/0/"));
+  EXPECT_TRUE(any_name_starts_with(names, "shard/1/replica/0/"));
+  EXPECT_TRUE(any_name_starts_with(names, "shard/0/client/1/"));
+  EXPECT_TRUE(any_name_starts_with(names, "shard/1/client/1/"));
+  EXPECT_EQ(names.count("shard/0/client.write.total_ms"), 1u);
+  EXPECT_EQ(names.count("shard/1/client.write.total_ms"), 1u);
+  // The router owns the unscoped aggregate and the client/<id> folds.
+  EXPECT_EQ(names.count("client.write.total_ms"), 1u);
+  EXPECT_EQ(names.count("client/1/writes"), 1u);
+  EXPECT_FALSE(any_name_starts_with(names, "replica/"));
 }
 
 }  // namespace

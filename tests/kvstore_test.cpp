@@ -47,7 +47,7 @@ TEST_F(KvStoreTest, KeyMappingDeterministicAndSpread) {
 }
 
 TEST_F(KvStoreTest, PutGetRoundtrip) {
-  KvStore kv(cluster_.add_client(1));
+  KvStore kv(cluster_.add_client(1).shard_client(0));
   ASSERT_TRUE(put(kv, "greeting", "hello").is_ok());
   auto g = get(kv, "greeting");
   ASSERT_TRUE(g.is_ok());
@@ -57,7 +57,7 @@ TEST_F(KvStoreTest, PutGetRoundtrip) {
 }
 
 TEST_F(KvStoreTest, AbsentKeyHasNoValue) {
-  KvStore kv(cluster_.add_client(1));
+  KvStore kv(cluster_.add_client(1).shard_client(0));
   auto g = get(kv, "never-written");
   ASSERT_TRUE(g.is_ok());
   EXPECT_FALSE(g.value().value.has_value());
@@ -65,7 +65,7 @@ TEST_F(KvStoreTest, AbsentKeyHasNoValue) {
 }
 
 TEST_F(KvStoreTest, KeysAreIndependent) {
-  KvStore kv(cluster_.add_client(1));
+  KvStore kv(cluster_.add_client(1).shard_client(0));
   ASSERT_TRUE(put(kv, "a", "1").is_ok());
   ASSERT_TRUE(put(kv, "b", "2").is_ok());
   auto ga = get(kv, "a");
@@ -77,7 +77,7 @@ TEST_F(KvStoreTest, KeysAreIndependent) {
 }
 
 TEST_F(KvStoreTest, OverwriteBumpsVersion) {
-  KvStore kv(cluster_.add_client(1));
+  KvStore kv(cluster_.add_client(1).shard_client(0));
   ASSERT_TRUE(put(kv, "k", "v1").is_ok());
   auto p2 = put(kv, "k", "v2");
   ASSERT_TRUE(p2.is_ok());
@@ -87,7 +87,7 @@ TEST_F(KvStoreTest, OverwriteBumpsVersion) {
 }
 
 TEST_F(KvStoreTest, EraseLeavesTombstoneVersion) {
-  KvStore kv(cluster_.add_client(1));
+  KvStore kv(cluster_.add_client(1).shard_client(0));
   ASSERT_TRUE(put(kv, "k", "v").is_ok());
   auto e = erase(kv, "k");
   ASSERT_TRUE(e.is_ok());
@@ -99,8 +99,8 @@ TEST_F(KvStoreTest, EraseLeavesTombstoneVersion) {
 }
 
 TEST_F(KvStoreTest, TwoClientsShareTheStore) {
-  KvStore kv1(cluster_.add_client(1));
-  KvStore kv2(cluster_.add_client(2));
+  KvStore kv1(cluster_.add_client(1).shard_client(0));
+  KvStore kv2(cluster_.add_client(2).shard_client(0));
   ASSERT_TRUE(put(kv1, "shared", "from-1").is_ok());
   auto g = get(kv2, "shared");
   ASSERT_TRUE(g.is_ok());
@@ -112,7 +112,7 @@ TEST_F(KvStoreTest, TwoClientsShareTheStore) {
 
 TEST_F(KvStoreTest, WorksWithCrashedReplica) {
   cluster_.crash_replica(1);
-  KvStore kv(cluster_.add_client(1));
+  KvStore kv(cluster_.add_client(1).shard_client(0));
   ASSERT_TRUE(put(kv, "k", "fault-tolerant").is_ok());
   auto g = get(kv, "k");
   ASSERT_TRUE(g.is_ok());

@@ -13,7 +13,6 @@
 #include "checker/bft_linearizability.h"
 #include "checker/history.h"
 #include "harness/cluster.h"
-#include "harness/sharded_cluster.h"
 #include "metrics/registry.h"
 #include "net/cluster_config.h"
 #include "shard/shard_map.h"
@@ -68,10 +67,17 @@ TEST(ShardMapTest, ShardKeySeedsAreDistinctAndShardZeroIsBase) {
 }
 
 // ------------------------------------------------------------------
-// RoutingClient through the sharded harness
+// RoutingClient through a two-shard harness::Cluster
+
+// A two-group cluster; the shard-count default is 1.
+harness::ClusterOptions two_shards() {
+  harness::ClusterOptions o;
+  o.shards = 2;
+  return o;
+}
 
 TEST(RoutingClientTest, WritesLandOnlyOnTheOwningGroup) {
-  harness::ShardedCluster cluster;
+  harness::Cluster cluster(two_shards());
   auto& c = cluster.add_client(1);
   for (quorum::ObjectId id = 1; id <= 6; ++id) {
     ASSERT_TRUE(cluster.write(c, id, to_bytes("v" + std::to_string(id)))
@@ -80,9 +86,9 @@ TEST(RoutingClientTest, WritesLandOnlyOnTheOwningGroup) {
   for (quorum::ObjectId id = 1; id <= 6; ++id) {
     const std::uint32_t home = cluster.shard_of(id);
     const std::uint32_t other = 1 - home;
-    EXPECT_NE(cluster.replica(home, 0).find_object(id), nullptr)
+    EXPECT_NE(cluster.replica(0, home).find_object(id), nullptr)
         << "object " << id << " missing from its home shard";
-    EXPECT_EQ(cluster.replica(other, 0).find_object(id), nullptr)
+    EXPECT_EQ(cluster.replica(0, other).find_object(id), nullptr)
         << "object " << id << " leaked to the other shard";
     auto r = cluster.read(c, id);
     ASSERT_TRUE(r.is_ok());
@@ -91,13 +97,14 @@ TEST(RoutingClientTest, WritesLandOnlyOnTheOwningGroup) {
 }
 
 TEST(RoutingClientTest, CrossShardWindowPipelinesAndQueues) {
-  harness::ShardedClusterOptions o;
+  harness::ClusterOptions o = two_shards();
   o.optimized = true;
   o.routing.max_inflight_total = 2;
-  harness::ShardedCluster cluster(o);
+  harness::Cluster cluster(o);
   core::ClientOptions copts;
+  copts.optimized = true;  // explicit options skip the mode overlay
   copts.max_inflight = 4;
-  auto& c = cluster.add_client(1, copts, o.routing);
+  auto& c = cluster.add_client(1, copts);
 
   // Objects 1 and 3 live on shard 1, objects 2 and 4 on shard 0 (pinned
   // above): the submissions alternate groups, so the window genuinely
@@ -126,7 +133,7 @@ TEST(RoutingClientTest, CrossShardWindowPipelinesAndQueues) {
 }
 
 TEST(RoutingClientTest, PartitionedShardStallsOnlyItsOwnObjects) {
-  harness::ShardedCluster cluster;
+  harness::Cluster cluster(two_shards());
   auto& c = cluster.add_client(1);
   // Seed both groups before the cut.
   ASSERT_TRUE(cluster.write(c, 1, to_bytes("one")).is_ok());   // shard 1
@@ -357,7 +364,7 @@ TEST(ClaimUniqueTest, DisambiguatesDuplicateClaims) {
 }
 
 TEST(ClaimUniqueTest, ShardedClusterClientsGetDistinctSummaries) {
-  harness::ShardedCluster cluster;
+  harness::Cluster cluster(two_shards());
   auto& c1 = cluster.add_client(1);
   auto& c2 = cluster.add_client(2);
   ASSERT_TRUE(cluster.write(c1, 1, to_bytes("a")).is_ok());

@@ -52,25 +52,12 @@ TEST_P(StressTest, ChaosRunStaysBftLinearizable) {
   o.link.duplicate_probability = 0.05;
   o.link.corrupt_probability = 0.01;
   // One Byzantine replica (species by seed), within the f budget.
-  const int species = static_cast<int>(meta.next_below(4));
-  o.replica_factories[3] =
-      [species](const quorum::QuorumConfig& cfg, quorum::ReplicaId id,
-                crypto::Keystore& ks, rpc::Transport& t, sim::Simulator& s,
-                const core::ReplicaOptions& opts)
-      -> std::unique_ptr<core::Replica> {
-    switch (species) {
-      case 0:
-        return std::make_unique<faults::SilentReplica>(cfg, id, ks, t, s, opts);
-      case 1:
-        return std::make_unique<faults::StaleReplica>(cfg, id, ks, t, s, opts);
-      case 2:
-        return std::make_unique<faults::GarbageSigReplica>(cfg, id, ks, t, s,
-                                                           opts);
-      default:
-        return std::make_unique<faults::FlipValueReplica>(cfg, id, ks, t, s,
-                                                          opts);
-    }
-  };
+  const harness::ReplicaFactory species[] = {
+      harness::replica_factory<faults::SilentReplica>(),
+      harness::replica_factory<faults::StaleReplica>(),
+      harness::replica_factory<faults::GarbageSigReplica>(),
+      harness::replica_factory<faults::FlipValueReplica>()};
+  o.replica_factories[3] = species[meta.next_below(4)];
   Cluster cluster(o);
   History history;
 
@@ -81,7 +68,7 @@ TEST_P(StressTest, ChaosRunStaysBftLinearizable) {
   // --- concurrent good clients, each chaining random ops ---------------
   int completed = 0;
   int failed = 0;
-  std::vector<core::Client*> clients;
+  std::vector<shard::RoutingClient*> clients;
   std::vector<Rng> client_rngs;
   for (int c = 1; c <= kClients; ++c) {
     clients.push_back(&cluster.add_client(static_cast<quorum::ClientId>(c)));
@@ -91,7 +78,7 @@ TEST_P(StressTest, ChaosRunStaysBftLinearizable) {
   std::function<void(int, int)> step = [&](int c, int op) {
     if (op >= kOpsPerClient) return;
     Rng& rng = client_rngs[static_cast<std::size_t>(c)];
-    core::Client& client = *clients[static_cast<std::size_t>(c)];
+    shard::RoutingClient& client = *clients[static_cast<std::size_t>(c)];
     const quorum::ObjectId object = kObjects[rng.next_below(2)];
     if (rng.next_bool(0.5)) {
       const Bytes value = to_bytes("c" + std::to_string(c + 1) + "op" +
