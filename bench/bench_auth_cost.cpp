@@ -10,7 +10,8 @@
 //   (a) google-benchmark microbenchmarks of the real crypto: RSA-512 /
 //       1024 / 2048 sign+verify vs HMAC-SHA256 (the MAC-based authenticator),
 //       establishing the gap that motivates the optimization — plus the
-//       Montgomery-vs-schoolbook modexp split behind the RSA numbers;
+//       Montgomery-vs-schoolbook modexp split behind the RSA numbers and
+//       the verify cache's hit and miss cost against a full table;
 //   (b) a simulated-latency ablation: write latency with foreground vs
 //       background phase-3 signing at a realistic 2006-era signing cost;
 //   (c) the certificate-verification cache: a repeated-certificate write
@@ -26,6 +27,7 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <cstring>
 
 #include "crypto/bigint.h"
 #include "crypto/hmac.h"
@@ -222,6 +224,59 @@ void BM_CertValidateRsa(benchmark::State& state) {
   state.SetLabel(cached ? "cached" : "uncached");
 }
 BENCHMARK(BM_CertValidateRsa)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+
+// An HMAC-sim keystore whose verify cache holds its default 64k entries,
+// as the live benchmark's replicas do after a few seconds.
+struct FullCacheKeystore {
+  crypto::Keystore ks{crypto::SignatureScheme::kHmacSim, 77};
+  std::vector<Bytes> statements;
+  std::vector<Bytes> sigs;
+
+  FullCacheKeystore() {
+    const crypto::Signer signer = ks.register_principal(1);
+    for (std::size_t i = 0; i < crypto::VerifyCache::kDefaultCapacity; ++i) {
+      statements.push_back(to_bytes("PREPARE-REPLY object=" +
+                                    std::to_string(i) +
+                                    " ts=<12,3> hash=0123456789abcdef"));
+      sigs.push_back(signer.sign(statements.back()).value());
+      (void)ks.verify_cached(1, statements.back(), sigs.back());
+    }
+  }
+};
+
+// Keystore::verify_cached on HMAC-sim, where the real check it saves is
+// cheapest: 0 is the uncached verify (the reference), 1 a hit, 2 a miss
+// on a fresh statement whose insert evicts an entry. The miss variant
+// evicts the hit variant's entries, so each fills a keystore of its own.
+void BM_VerifyCached(benchmark::State& state) {
+  static std::map<bool, FullCacheKeystore> keystores;
+  const int variant = static_cast<int>(state.range(0));
+  FullCacheKeystore& full = keystores.try_emplace(variant == 2).first->second;
+  const std::size_t n = full.statements.size();
+  Bytes fresh = kStatement;
+  std::uint64_t counter = 0;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    // An odd stride visits every entry, in an order unrelated to the
+    // slots' insertion order.
+    i = (i + 40503) % n;
+    if (variant == 0) {
+      benchmark::DoNotOptimize(full.ks.verify(1, full.statements[i],
+                                              full.sigs[i]));
+    } else if (variant == 1) {
+      benchmark::DoNotOptimize(full.ks.verify_cached(1, full.statements[i],
+                                                     full.sigs[i]));
+    } else {
+      ++counter;
+      std::memcpy(fresh.data() + fresh.size() - sizeof counter, &counter,
+                  sizeof counter);
+      benchmark::DoNotOptimize(full.ks.verify_cached(1, fresh, full.sigs[i]));
+    }
+  }
+  state.SetLabel(variant == 0 ? "uncached verify"
+                              : variant == 1 ? "hit" : "miss");
+}
+BENCHMARK(BM_VerifyCached)->Arg(0)->Arg(1)->Arg(2);
 
 // Workload report: a client hammering one hot object through the full
 // protocol over real RSA-512 signatures. Every write re-shows the same

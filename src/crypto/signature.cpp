@@ -192,9 +192,7 @@ std::size_t Keystore::verify_batch(std::vector<VerifyItem>& items) const {
   // Hash every key outside the lock, then order item indices so that
   // identical (principal, statement, signature) triples sit adjacent:
   // each distinct triple costs one cache lookup and at most one real
-  // cryptographic check, no matter how often the batch repeats it. The
-  // grouping also keeps same-principal lookups together (cache-aware:
-  // their entries share hot index/LRU neighborhoods).
+  // cryptographic check, no matter how often the batch repeats it.
   std::vector<VerifyCache::Key> keys;
   keys.reserve(items.size());
   for (const VerifyItem& item : items) {
@@ -207,9 +205,7 @@ std::size_t Keystore::verify_batch(std::vector<VerifyItem>& items) const {
             [&keys](std::size_t a, std::size_t b) {
               if (keys[a].principal != keys[b].principal)
                 return keys[a].principal < keys[b].principal;
-              if (keys[a].statement != keys[b].statement)
-                return keys[a].statement < keys[b].statement;
-              return keys[a].signature < keys[b].signature;
+              return keys[a].digest < keys[b].digest;
             });
 
   // Group leaders: the first index of every run of identical keys.

@@ -19,11 +19,12 @@
 // principal can be created (old ones still verify — replays remain
 // possible, as §4.1.1 requires).
 //
-// verify_cached memoizes verification verdicts in a bounded LRU (see
-// verify_cache.h): certificates are transferable proofs whose 2f+1
-// signatures get re-checked at every hop, so the protocol routes all
-// certificate validation through this path. Revoking a principal purges
-// its cache entries, so post-stop checks always re-enter the keystore.
+// verify_cached memoizes verification verdicts in a bounded flat table
+// with CLOCK eviction (see verify_cache.h): certificates are transferable
+// proofs whose 2f+1 signatures get re-checked at every hop, so the
+// protocol routes all certificate validation through this path. Revoking
+// a principal purges its cache entries, so post-stop checks always
+// re-enter the keystore.
 // Threading contract: registration (register_principal) and scheme setup
 // are single-threaded setup-time operations. After setup, verify /
 // verify_cached / sign are safe to call from multiple threads: the
@@ -108,11 +109,11 @@ class Keystore {
   [[nodiscard]] bool verify(PrincipalId signer, BytesView msg,
                             BytesView sig) const;
 
-  // Memoized verification: consults the LRU cache keyed on
-  // (principal, sha256(msg), sha256(sig)) and only falls back to the
-  // real cryptographic check on a miss. Semantically identical to
-  // verify() — both positive and negative verdicts are cached, and a
-  // revocation purges the principal's entries. Counters:
+  // Memoized verification: consults the verify cache keyed on
+  // (principal, one SHA-256 over principal, msg and sig) and only falls
+  // back to the real cryptographic check on a miss. Semantically
+  // identical to verify() — both positive and negative verdicts are
+  // cached, and a revocation purges the principal's entries. Counters:
   // "sig_cache_hit" / "sig_cache_miss".
   [[nodiscard]] bool verify_cached(PrincipalId signer, BytesView msg,
                                    BytesView sig) const;

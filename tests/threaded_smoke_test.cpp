@@ -6,7 +6,7 @@
 // threading contract (src/util/thread_annotations.h annotations) allows
 // concurrent callers on. The test's job is to give ThreadSanitizer
 // (BFTBC_TSAN / the `tsan` preset) real interleavings to check —
-// concurrent cache hits+misses+LRU churn, a mid-run revocation purge,
+// concurrent cache hits+misses+CLOCK eviction, a mid-run revocation purge,
 // parallel metric folds into one shared registry while another thread
 // snapshots JSON — and to assert the results are still correct, not just
 // race-free.
@@ -30,8 +30,10 @@ constexpr int kItersPerThread = 2000;
 
 TEST(ThreadedSmokeTest, ConcurrentCachedVerifies) {
   crypto::Keystore ks(crypto::SignatureScheme::kHmacSim, /*seed=*/42);
-  // Small capacity on purpose: constant LRU eviction churn under load.
-  ks.set_verify_cache_capacity(64);
+  // 64 distinct keys (4 principals x 8 statements x good/bad signature)
+  // in 16 slots: constant CLOCK eviction under load, so evictions race
+  // lookups, inserts and the purge.
+  ks.set_verify_cache_capacity(16);
 
   struct Fixture {
     crypto::PrincipalId principal;
@@ -83,7 +85,10 @@ TEST(ThreadedSmokeTest, ConcurrentCachedVerifies) {
       counts.count("sig_cache_miss") ? counts.at("sig_cache_miss") : 0;
   EXPECT_EQ(hits + misses,
             static_cast<std::uint64_t>(kThreads) * kItersPerThread);
-  EXPECT_LE(ks.verify_cache().size(), 64u);
+  // More misses than distinct keys: entries really were evicted and
+  // looked up again.
+  EXPECT_GT(misses, fixtures.size() * 2);
+  EXPECT_LE(ks.verify_cache().size(), 16u);
 }
 
 TEST(ThreadedSmokeTest, ConcurrentMetricFolds) {
