@@ -361,11 +361,151 @@ BigInt Montgomery::from_words(const u64* w) const {
   return BigInt::from_limbs(std::move(limbs));
 }
 
+namespace {
+
+// Full unrolling for the fixed-width kernels' loops, so their
+// accumulators live in registers. Each compiler has its own spelling,
+// and -Wall warns on the other's.
+#if defined(__clang__)
+#define BFTBC_UNROLL _Pragma("unroll")
+#else
+#define BFTBC_UNROLL _Pragma("GCC unroll 16")
+#endif
+
+// out = t - m when `top` is set or t >= m, else t, for K-word t < 2m.
+// Both values are computed and one is picked by mask, so the choice
+// costs no branch.
+template <std::size_t K>
+inline void subtract_if_ge(u64* out, const u64* t, bool top, const u64* m) {
+  u64 d[K];
+  u64 borrow = 0;
+  BFTBC_UNROLL
+  for (std::size_t i = 0; i < K; ++i) {
+    const u128 diff = static_cast<u128>(t[i]) - m[i] - borrow;
+    d[i] = static_cast<u64>(diff);
+    borrow = static_cast<u64>(diff >> 64) & 1;
+  }
+  const u64 keep_d = 0 - static_cast<u64>(top || borrow == 0);
+  BFTBC_UNROLL
+  for (std::size_t i = 0; i < K; ++i)
+    out[i] = (d[i] & keep_d) | (t[i] & ~keep_d);
+}
+
+// Montgomery::mul's CIOS loop at a word count K known at compile time:
+// the K+2-word accumulator is a local array, which the unrolled loops
+// keep in registers.
+template <std::size_t K>
+void mul_fixed(u64* out, const u64* a, const u64* b, const u64* m, u64 n0) {
+  u64 t[K + 2] = {};
+  BFTBC_UNROLL
+  for (std::size_t i = 0; i < K; ++i) {
+    const u64 ai = a[i];
+    u64 carry = 0;
+    BFTBC_UNROLL
+    for (std::size_t j = 0; j < K; ++j) {
+      const u128 cur = static_cast<u128>(ai) * b[j] + t[j] + carry;
+      t[j] = static_cast<u64>(cur);
+      carry = static_cast<u64>(cur >> 64);
+    }
+    u128 cur = static_cast<u128>(t[K]) + carry;
+    t[K] = static_cast<u64>(cur);
+    t[K + 1] = static_cast<u64>(cur >> 64);
+
+    const u64 mfac = t[0] * n0;
+    cur = static_cast<u128>(mfac) * m[0] + t[0];
+    carry = static_cast<u64>(cur >> 64);
+    BFTBC_UNROLL
+    for (std::size_t j = 1; j < K; ++j) {
+      cur = static_cast<u128>(mfac) * m[j] + t[j] + carry;
+      t[j - 1] = static_cast<u64>(cur);
+      carry = static_cast<u64>(cur >> 64);
+    }
+    cur = static_cast<u128>(t[K]) + carry;
+    t[K - 1] = static_cast<u64>(cur);
+    t[K] = t[K + 1] + static_cast<u64>(cur >> 64);
+  }
+  subtract_if_ge<K>(out, t, t[K] != 0, m);
+}
+
+// Montgomery squaring at a fixed word count K. The product forms each
+// cross product a[i]*a[j] (i < j) once, doubles their 2K-word sum and
+// adds the diagonal squares: K(K+1)/2 word products where a multiply
+// forms K^2. A separate pass then reduces the 2K words (round i adds
+// (t[i]*n0)*m at word i, zeroing it), and one conditional subtraction
+// finishes.
+template <std::size_t K>
+void sqr_fixed(u64* out, const u64* a, const u64* m, u64 n0) {
+  u64 t[2 * K] = {};
+  // Row i adds a[i]*a[i+1..K-1] from word 2i+1 and ends at word i+K,
+  // which no earlier row reached.
+  BFTBC_UNROLL
+  for (std::size_t i = 0; i + 1 < K; ++i) {
+    u64 carry = 0;
+    BFTBC_UNROLL
+    for (std::size_t j = i + 1; j < K; ++j) {
+      const u128 cur = static_cast<u128>(a[i]) * a[j] + t[i + j] + carry;
+      t[i + j] = static_cast<u64>(cur);
+      carry = static_cast<u64>(cur >> 64);
+    }
+    t[i + K] = carry;
+  }
+  // Twice the cross sum plus the squares is a^2 < 2^(128K): neither the
+  // doubling nor the adding carries out of word 2K-1.
+  BFTBC_UNROLL
+  for (std::size_t i = 2 * K - 1; i > 0; --i)
+    t[i] = t[i] << 1 | t[i - 1] >> 63;
+  t[0] <<= 1;
+  u64 carry = 0;
+  BFTBC_UNROLL
+  for (std::size_t i = 0; i < K; ++i) {
+    const u128 sq = static_cast<u128>(a[i]) * a[i];
+    u128 cur = static_cast<u128>(t[2 * i]) + static_cast<u64>(sq) + carry;
+    t[2 * i] = static_cast<u64>(cur);
+    cur = static_cast<u128>(t[2 * i + 1]) + static_cast<u64>(sq >> 64) +
+          static_cast<u64>(cur >> 64);
+    t[2 * i + 1] = static_cast<u64>(cur);
+    carry = static_cast<u64>(cur >> 64);
+  }
+
+  // `top` is the carry out of word i+K, owed to word i+K+1: the next
+  // round's top word, or past word 2K-1 after the last round.
+  u64 top = 0;
+  BFTBC_UNROLL
+  for (std::size_t i = 0; i < K; ++i) {
+    const u64 mfac = t[i] * n0;
+    u128 cur = static_cast<u128>(mfac) * m[0] + t[i];
+    carry = static_cast<u64>(cur >> 64);  // low word is zero by construction
+    BFTBC_UNROLL
+    for (std::size_t j = 1; j < K; ++j) {
+      cur = static_cast<u128>(mfac) * m[j] + t[i + j] + carry;
+      t[i + j] = static_cast<u64>(cur);
+      carry = static_cast<u64>(cur >> 64);
+    }
+    cur = static_cast<u128>(t[i + K]) + carry + top;
+    t[i + K] = static_cast<u64>(cur);
+    top = static_cast<u64>(cur >> 64);
+  }
+  // (a^2 + (sum of the rounds' multiples of m)) / R < 2m.
+  subtract_if_ge<K>(out, t + K, top != 0, m);
+}
+
+}  // namespace
+
 // CIOS multiplication+reduction (Koç et al., "Analyzing and Comparing
 // Montgomery Multiplication Algorithms"): interleaves the schoolbook
 // product with the reduction so the accumulator never exceeds k+2
-// words. Every product-plus-two-words sum fits in 128 bits.
+// words. Every product-plus-two-words sum fits in 128 bits. The 4- and
+// 8-word moduli take the fixed-width copy above; this loop serves every
+// other width.
 void Montgomery::mul(u64* out, const u64* a, const u64* b, u64* t) const {
+  if (k_ == 4) {
+    mul_fixed<4>(out, a, b, mw_.data(), n0_);
+    return;
+  }
+  if (k_ == 8) {
+    mul_fixed<8>(out, a, b, mw_.data(), n0_);
+    return;
+  }
   const std::size_t k = k_;
   const u64* m = mw_.data();
   std::fill(t, t + k + 2, 0);
@@ -415,6 +555,16 @@ void Montgomery::mul(u64* out, const u64* a, const u64* b, u64* t) const {
     const u128 diff = static_cast<u128>(t[i]) - m[i] - borrow;
     out[i] = static_cast<u64>(diff);
     borrow = static_cast<u64>(diff >> 64) & 1;
+  }
+}
+
+void Montgomery::sqr(u64* out, const u64* a, u64* t) const {
+  if (k_ == 4) {
+    sqr_fixed<4>(out, a, mw_.data(), n0_);
+  } else if (k_ == 8) {
+    sqr_fixed<8>(out, a, mw_.data(), n0_);
+  } else {
+    mul(out, a, a, t);
   }
 }
 
@@ -469,7 +619,7 @@ BigInt Montgomery::mod_exp(const BigInt& base, const BigInt& exp) const {
   if (!windowed) {
     std::copy(pow1, pow1 + k, acc);
     for (std::size_t i = bits - 1; i-- > 0;) {
-      mul(acc, acc, acc, t);
+      sqr(acc, acc, t);
       if (exp.bit(i)) mul(acc, acc, pow1, t);
     }
   } else {
@@ -486,10 +636,10 @@ BigInt Montgomery::mod_exp(const BigInt& base, const BigInt& exp) const {
     std::copy(first, first + k, acc);
     while (lo >= 4) {
       lo -= 4;
-      mul(acc, acc, acc, t);
-      mul(acc, acc, acc, t);
-      mul(acc, acc, acc, t);
-      mul(acc, acc, acc, t);
+      sqr(acc, acc, t);
+      sqr(acc, acc, t);
+      sqr(acc, acc, t);
+      sqr(acc, acc, t);
       const std::size_t w = window_at(lo);
       if (w != 0) mul(acc, acc, table + w * k, t);
     }

@@ -4,10 +4,9 @@
 // limbs; zero is an empty vector). Division is Knuth's Algorithm D.
 // Modular exponentiation for odd moduli (every RSA modulus and prime)
 // runs over a Montgomery domain held by a reusable `Montgomery` context,
-// whose CIOS kernel works on 64-bit words, so per-key state can be
-// cached. The legacy divmod-per-step ladder survives as
-// `mod_exp_schoolbook` for even moduli and as the differential-fuzz
-// reference.
+// whose kernels work on 64-bit words, so per-key state can be cached.
+// The legacy divmod-per-step ladder survives as `mod_exp_schoolbook` for
+// even moduli and as the differential-fuzz reference.
 #pragma once
 
 #include <cstdint>
@@ -110,10 +109,16 @@ class BigInt {
 // 64-bit words (k = word count of m, R = 2^(64k)); construction costs
 // one Knuth division. mod_exp converts the base into the domain and the
 // result out of it once, and runs the exponent loop in place in one
-// per-call workspace, so the multiply itself never allocates. RSA
+// per-call workspace, so the kernels themselves never allocate. RSA
 // callers cache one context per key component (n, p, q). The context
 // is immutable after construction and holds no scratch, so concurrent
 // verifier threads can share it.
+//
+// The modulus width alone picks the kernels: at k = 4 (RSA-512's CRT
+// halves, 256-bit primality candidates) and k = 8 (RSA-512 moduli,
+// RSA-1024's CRT halves) the multiply is compiled for that k and mod_exp
+// squares with a dedicated squaring; every other k runs one generic
+// loop, squaring by multiplying.
 class Montgomery {
  public:
   explicit Montgomery(const BigInt& m);
@@ -132,10 +137,13 @@ class Montgomery {
   BigInt from_mont(const BigInt& a) const;  // a*R^-1 mod m
 
  private:
-  // out = a*b*R^-1 mod m over k-word operands below m; t is k+2 words
-  // of scratch. out may alias a or b.
+  // out = a*b*R^-1 mod m over k-word operands below m. t is k+2 words
+  // of scratch for the generic loop; the 4- and 8-word kernels keep
+  // their accumulator on the stack. out may alias a or b.
   void mul(std::uint64_t* out, const std::uint64_t* a, const std::uint64_t* b,
            std::uint64_t* t) const;
+  // out = a*a*R^-1 mod m, as mul(out, a, a, t).
+  void sqr(std::uint64_t* out, const std::uint64_t* a, std::uint64_t* t) const;
   // a (at most k words long) as k words, and k words back as a BigInt.
   void to_words(const BigInt& a, std::uint64_t* out) const;
   BigInt from_words(const std::uint64_t* w) const;

@@ -12,11 +12,17 @@ constexpr std::uint8_t kSha256DigestInfo[] = {
     0x30, 0x31, 0x30, 0x0d, 0x06, 0x09, 0x60, 0x86, 0x48, 0x01,
     0x65, 0x03, 0x04, 0x02, 0x01, 0x05, 0x00, 0x04, 0x20};
 
+// The shortest modulus the encoding below fits in: DigestInfo, digest
+// and 11 bytes of padding (RFC 8017 §9.2 step 3).
+constexpr std::size_t kMinModulusBytes =
+    sizeof(kSha256DigestInfo) + kDigestSize + 11;
+
 // EMSA-PKCS1-v1_5 encoding: 0x00 0x01 FF..FF 0x00 DigestInfo || H(m).
 Bytes emsa_encode(BytesView message, std::size_t em_len) {
   const Digest digest = sha256(message);
   const std::size_t t_len = sizeof(kSha256DigestInfo) + kDigestSize;
-  // Caller guarantees em_len >= t_len + 11 via key-size check in keygen.
+  // Callers guarantee em_len >= kMinModulusBytes: keygen's size floor
+  // for signs, a length check for verifies.
   Bytes em(em_len, 0xff);
   em[0] = 0x00;
   em[1] = 0x01;
@@ -43,12 +49,16 @@ std::optional<RsaPublicKey> RsaPublicKey::decode(BytesView b) {
   Bytes eb = r.get_bytes();
   if (!r.done()) return std::nullopt;
   RsaPublicKey key{BigInt::from_bytes(nb), BigInt::from_bytes(eb)};
-  if (key.n.is_zero() || key.e.is_zero()) return std::nullopt;
+  // Montgomery reduction needs an odd modulus, emsa_encode a long one.
+  if (!key.n.is_odd() || key.modulus_bytes() < kMinModulusBytes ||
+      key.e.is_zero()) {
+    return std::nullopt;
+  }
   return key;
 }
 
 RsaKeyPair rsa_generate(Rng& rng, std::size_t bits) {
-  const std::size_t min_bits = (sizeof(kSha256DigestInfo) + kDigestSize + 11) * 8;
+  const std::size_t min_bits = kMinModulusBytes * 8;
   if (bits < min_bits) bits = min_bits;
 
   const BigInt e(65537);
@@ -86,19 +96,15 @@ namespace {
 
 Bytes rsa_sign_with(const RsaPrivateKey& key, const Montgomery& mp,
                     const Montgomery& mq, BytesView message) {
-  const std::size_t k = key.public_key().modulus_bytes();
+  const std::size_t k = (key.n.bit_length() + 7) / 8;
   const BigInt m = BigInt::from_bytes(emsa_encode(message, k));
 
   // CRT: s = m^d mod n computed as two half-size exponentiations.
   const BigInt m1 = mp.mod_exp(m % key.p, key.dp);
   const BigInt m2 = mq.mod_exp(m % key.q, key.dq);
   // h = qinv * (m1 - m2) mod p (lift m1-m2 into non-negative range first)
-  BigInt diff;
-  if (m1 >= m2 % key.p) {
-    diff = m1 - (m2 % key.p);
-  } else {
-    diff = (m1 + key.p) - (m2 % key.p);
-  }
+  const BigInt m2p = m2 % key.p;
+  const BigInt diff = m1 >= m2p ? m1 - m2p : (m1 + key.p) - m2p;
   const BigInt h = (key.qinv * diff) % key.p;
   const BigInt s = m2 + h * key.q;
   return s.to_bytes_padded(k);
@@ -107,7 +113,7 @@ Bytes rsa_sign_with(const RsaPrivateKey& key, const Montgomery& mp,
 bool rsa_verify_with(const RsaPublicKey& key, const Montgomery& mn,
                      BytesView message, BytesView signature) {
   const std::size_t k = key.modulus_bytes();
-  if (signature.size() != k) return false;
+  if (k < kMinModulusBytes || signature.size() != k) return false;
   const BigInt s = BigInt::from_bytes(signature);
   if (s >= key.n) return false;
   const BigInt m = mn.mod_exp(s, key.e);
@@ -129,7 +135,9 @@ Bytes rsa_sign(const RsaPrivateKey& key, const RsaContext& ctx,
 
 bool rsa_verify(const RsaPublicKey& key, BytesView message,
                 BytesView signature) {
-  return rsa_verify_with(key, Montgomery(key.n), message, signature);
+  // Checked before the context is built: Montgomery needs an odd n.
+  return key.n.is_odd() &&
+         rsa_verify_with(key, Montgomery(key.n), message, signature);
 }
 
 bool rsa_verify(const RsaPublicKey& key, const RsaContext& ctx,

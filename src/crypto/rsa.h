@@ -23,6 +23,8 @@ struct RsaPublicKey {
   std::size_t modulus_bytes() const { return (n.bit_length() + 7) / 8; }
 
   Bytes encode() const;
+  // Rejects malformed bytes, e = 0, an even modulus and one shorter
+  // than the 62 bytes the PKCS#1 v1.5 SHA-256 encoding needs.
   static std::optional<RsaPublicKey> decode(BytesView b);
 };
 
@@ -70,7 +72,8 @@ Bytes rsa_sign(const RsaPrivateKey& key, BytesView message);
 Bytes rsa_sign(const RsaPrivateKey& key, const RsaContext& ctx,
                BytesView message);
 
-// Verify a signature over message.
+// Verify a signature over message. False for a key whose modulus is
+// even or too short for the encoding.
 [[nodiscard]] bool rsa_verify(const RsaPublicKey& key, BytesView message,
                               BytesView signature);
 // Context-cached variant; ctx must be built from `key` (or its pair).

@@ -2,14 +2,17 @@
 //
 // The schoolbook divmod ladder is slow but simple enough to trust; the
 // Montgomery CIOS path and the CRT recombination in rsa_sign are the
-// fast, tricky replacements. The Montgomery kernel works on 64-bit
+// fast, tricky replacements. The Montgomery kernels work on 64-bit
 // words, so the widths include odd 32-bit limb counts (a half-empty top
 // word) and moduli just below a power of two (an all-ones top word,
-// which drives the carry word and the final subtraction). Each seed
-// drives:
+// which drives the carry word and the final subtraction). 4- and 8-word
+// moduli run their own multiply and squaring, so the widths cover each
+// and its neighbours: 3, 4, 5, 7, 8 and 9 words. Each seed drives:
 //   - mod_exp (Montgomery for odd moduli) vs mod_exp_schoolbook on
 //     random (base, exp, modulus) triples across widths, and on
 //     exponents either side of the 32-bit square-and-multiply limit;
+//   - single squarings (exponents 2 and 3) at 4 and 8 words on edge
+//     bases;
 //   - Montgomery domain round-trips and mont_mul against plain a*b%m;
 //   - CRT recombination identity against the direct m^d mod n, plus a
 //     full RSA sign/verify round-trip with tamper rejection.
@@ -53,7 +56,8 @@ BigInt near_power_of_two(Rng& rng, std::size_t bits) {
 
 TEST_P(BigIntDiffFuzzTest, MontgomeryMatchesSchoolbook) {
   Rng rng(GetParam() ^ 0xd1ffe12e);
-  const std::size_t widths[] = {32, 64, 96, 160, 512, 544, 1024, 2048};
+  const std::size_t widths[] = {32,  64,  96,  160, 192,  256, 288,
+                                448, 512, 544, 576, 1024, 2048};
   for (const std::size_t bits : widths) {
     // The schoolbook reference costs two divisions per exponent bit, so
     // the 2048-bit rounds are fewer and their exponents shorter.
@@ -73,7 +77,7 @@ TEST_P(BigIntDiffFuzzTest, MontgomeryMatchesSchoolbook) {
 
 TEST_P(BigIntDiffFuzzTest, MontgomeryNearPowerOfTwoModuli) {
   Rng rng(GetParam() ^ 0x2b17e5);
-  for (const std::size_t bits : {128, 512, 1024, 2048}) {
+  for (const std::size_t bits : {128, 256, 512, 1024, 2048}) {
     const BigInt m = near_power_of_two(rng, bits);
     const Montgomery mont(m);
     const BigInt bases[] = {BigInt::random_below(rng, m), m - BigInt(1),
@@ -122,9 +126,35 @@ TEST_P(BigIntDiffFuzzTest, MontgomeryEdgeExponents) {
             BigInt::mod_exp_schoolbook(minus_one, BigInt(3), m).to_hex());
 }
 
+// Exponent 2 is exactly one squaring in the domain, 3 a squaring then a
+// multiply, at the two widths with a dedicated squaring; the moduli are
+// random and just below 2^(64k), the bases the edges of [0, m).
+TEST_P(BigIntDiffFuzzTest, MontgomerySquaringMatchesSchoolbook) {
+  Rng rng(GetParam() ^ 0x5a0a4e);
+  for (const std::size_t bits : {256, 512}) {
+    const BigInt moduli[] = {random_odd_with_bits(rng, bits),
+                             near_power_of_two(rng, bits)};
+    for (const BigInt& m : moduli) {
+      const Montgomery mont(m);
+      const BigInt bases[] = {BigInt(0),     BigInt(1),
+                              BigInt(2),     m - BigInt(2),
+                              m - BigInt(1), BigInt::random_below(rng, m)};
+      for (const BigInt& a : bases) {
+        for (const std::uint64_t e : {2, 3}) {
+          ASSERT_EQ(mont.mod_exp(a, BigInt(e)).to_hex(),
+                    BigInt::mod_exp_schoolbook(a, BigInt(e), m).to_hex())
+              << "bits=" << bits << " m=" << m.to_hex() << " a=" << a.to_hex()
+              << " e=" << e;
+        }
+      }
+    }
+  }
+}
+
 TEST_P(BigIntDiffFuzzTest, MontMulMatchesPlainModmul) {
   Rng rng(GetParam() ^ 0x30147301);
-  for (const std::size_t bits : {64, 96, 192, 512, 544, 2048}) {
+  for (const std::size_t bits : {64, 96, 192, 256, 288, 448, 512, 544, 576,
+                                 2048}) {
     const BigInt m = random_odd_with_bits(rng, bits);
     const Montgomery mont(m);
     for (int round = 0; round < 16; ++round) {

@@ -81,6 +81,34 @@ TEST_F(RsaTest, PublicKeyDecodeRejectsGarbage) {
   EXPECT_FALSE(RsaPublicKey::decode(Bytes{}).has_value());
 }
 
+TEST_F(RsaTest, PublicKeyDecodeRejectsEvenModulus) {
+  const RsaPublicKey even{key().pub.n + BigInt(1), key().pub.e};
+  EXPECT_FALSE(RsaPublicKey::decode(even.encode()).has_value());
+}
+
+TEST_F(RsaTest, PublicKeyDecodeRejectsModulusTooShortForEncoding) {
+  // 19 bytes of DigestInfo, 32 of digest and 11 of padding: 62 bytes is
+  // the shortest modulus the encoding fits in.
+  auto odd_with_bytes = [](std::size_t bytes) {
+    return BigInt(1).shifted_left(8 * bytes) - BigInt(1);
+  };
+  const RsaPublicKey short_key{odd_with_bytes(61), BigInt(65537)};
+  EXPECT_FALSE(RsaPublicKey::decode(short_key.encode()).has_value());
+  const RsaPublicKey shortest{odd_with_bytes(62), BigInt(65537)};
+  EXPECT_TRUE(RsaPublicKey::decode(shortest.encode()).has_value());
+}
+
+TEST_F(RsaTest, VerifyRejectsModulusTooShortForEncoding) {
+  // A hand-built 8-byte key: verify must refuse it before encoding the
+  // message into 8 bytes, which would write outside the buffer.
+  const RsaPublicKey tiny{BigInt::from_hex("c4f1d6a3b2e59f07"), BigInt(65537)};
+  const Bytes msg = to_bytes("hello");
+  const Bytes sig = BigInt::from_hex("0123456789abcdef").to_bytes_padded(8);
+  EXPECT_FALSE(rsa_verify(tiny, msg, sig));
+  const RsaContext ctx(tiny);
+  EXPECT_FALSE(rsa_verify(tiny, ctx, msg, sig));
+}
+
 TEST_F(RsaTest, KeygenEnforcesMinimumSize) {
   Rng rng(777);
   // Request far too small; generator must round up so EMSA fits.
