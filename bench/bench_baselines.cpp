@@ -50,7 +50,8 @@ ProtoRow measure_bftbc(bool optimized, metrics::BenchReport& report) {
   auto& c = cluster.add_client(1);
   (void)cluster.write(c, 1, to_bytes("warm"));
   cluster.settle();
-  cluster.net().reset_counters();
+  const Counters& net = cluster.net().counters();
+  const std::uint64_t sent = net.get("msgs_sent");
 
   Summary latency;
   Histogram phases;
@@ -61,8 +62,7 @@ ProtoRow measure_bftbc(bool optimized, metrics::BenchReport& report) {
     if (w.is_ok()) phases.add(w.value().phases);
   }
   cluster.settle();
-  const double msgs =
-      static_cast<double>(cluster.net().counters().get("msgs_sent")) / kOps;
+  const double msgs = static_cast<double>(net.get("msgs_sent") - sent) / kOps;
 
   // Equivocation outcome.
   std::string equiv = "blocked (no cert obtainable)";
@@ -103,7 +103,8 @@ ProtoRow measure_bqs(metrics::BenchReport& report) {
   auto& c = cluster.add_client(1);
   (void)cluster.write(c, 1, to_bytes("warm"));
   cluster.sim().run();
-  cluster.net().reset_counters();
+  const Counters& net = cluster.net().counters();
+  const std::uint64_t sent = net.get("msgs_sent");
 
   Summary latency;
   Histogram phases;
@@ -114,8 +115,7 @@ ProtoRow measure_bqs(metrics::BenchReport& report) {
     if (w.is_ok()) phases.add(w.value().phases);
   }
   cluster.sim().run();
-  const double msgs =
-      static_cast<double>(cluster.net().counters().get("msgs_sent")) / kOps;
+  const double msgs = static_cast<double>(net.get("msgs_sent") - sent) / kOps;
 
   // Equivocation outcome: the split-brain attack.
   std::string equiv;
@@ -155,7 +155,8 @@ ProtoRow measure_phalanx(metrics::BenchReport& report) {
   auto& c = cluster.add_client(1);
   (void)cluster.write(c, 1, to_bytes("warm"));
   cluster.settle();
-  cluster.net().reset_counters();
+  const Counters& net = cluster.net().counters();
+  const std::uint64_t sent = net.get("msgs_sent");
 
   Summary latency;
   Histogram phases;
@@ -166,8 +167,7 @@ ProtoRow measure_phalanx(metrics::BenchReport& report) {
     if (w.is_ok()) phases.add(w.value().phases);
     cluster.settle();  // echo round completes off the client's path
   }
-  const double msgs =
-      static_cast<double>(cluster.net().counters().get("msgs_sent")) / kOps;
+  const double msgs = static_cast<double>(net.get("msgs_sent") - sent) / kOps;
 
   // Null-read demonstration (deterministic partition construction).
   std::string nulls;
@@ -205,7 +205,8 @@ ProtoRow measure_sbql(metrics::BenchReport& report) {
   auto& c = cluster.add_client(1);
   (void)cluster.write(c, 1, to_bytes("warm"));
   cluster.run_for(sim::kSecond);
-  cluster.net().reset_counters();
+  const Counters& net = cluster.net().counters();
+  const std::uint64_t sent = net.get("msgs_sent");
 
   Summary latency;
   Histogram phases;
@@ -216,8 +217,7 @@ ProtoRow measure_sbql(metrics::BenchReport& report) {
     if (w.is_ok()) phases.add(w.value().phases);
     cluster.run_for(200 * sim::kMillisecond);  // let forwards settle
   }
-  const double msgs =
-      static_cast<double>(cluster.net().counters().get("msgs_sent")) / kOps;
+  const double msgs = static_cast<double>(net.get("msgs_sent") - sent) / kOps;
 
   report.add_summary("sbql/write_latency_ms", latency);
   report.add_histogram("sbql/write_phases", phases);

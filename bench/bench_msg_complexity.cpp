@@ -36,7 +36,9 @@ Cost measure(std::uint32_t f, bool writes, bool optimized, int ops,
   (void)cluster.write(client, 1, to_bytes("warmup"));
   cluster.settle();
 
-  cluster.net().reset_counters();
+  const Counters& c = cluster.net().counters();
+  const std::uint64_t msgs_before = c.get("msgs_sent");
+  const std::uint64_t bytes_before = c.get("bytes_sent");
   for (int i = 0; i < ops; ++i) {
     if (writes) {
       (void)cluster.write(client, 1, to_bytes("v" + std::to_string(i)));
@@ -45,10 +47,9 @@ Cost measure(std::uint32_t f, bool writes, bool optimized, int ops,
     }
   }
   cluster.settle();
-  const auto& c = cluster.net().counters();
   report.merge(cluster.snapshot_metrics());
-  return Cost{static_cast<double>(c.get("msgs_sent")) / ops,
-              static_cast<double>(c.get("bytes_sent")) / ops};
+  return Cost{static_cast<double>(c.get("msgs_sent") - msgs_before) / ops,
+              static_cast<double>(c.get("bytes_sent") - bytes_before) / ops};
 }
 
 }  // namespace

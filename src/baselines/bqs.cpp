@@ -324,33 +324,13 @@ BqsClient::BqsClient(const quorum::QuorumConfig& config, ClientId id,
                      sim::Scheduler& scheduler,
                      std::vector<sim::NodeId> replica_nodes, Rng rng,
                      BqsClientOptions options)
-    : config_(config),
-      id_(id),
-      keystore_(keystore),
-      signer_(keystore.register_principal(quorum::client_principal(id))),
-      transport_(transport),
-      sim_(scheduler),
-      replica_nodes_(std::move(replica_nodes)),
-      nonces_(id, rng),
-      options_(options) {
-  transport_.set_receiver([this](sim::NodeId from, const rpc::Envelope& env) {
-    on_envelope(from, env);
-  });
-}
+    : ClientEndpoint(config, id, keystore, transport, scheduler,
+                     std::move(replica_nodes), rng, /*first_rpc_id=*/1),
+      options_(options) {}
 
 BqsClient::~BqsClient() = default;
 
-rpc::Envelope BqsClient::make_request(rpc::MsgType type, Bytes body) {
-  rpc::Envelope env;
-  env.type = type;
-  env.rpc_id = next_rpc_id_++;
-  env.sender = quorum::client_principal(id_);
-  env.body = std::move(body);
-  return env;
-}
-
 void BqsClient::on_envelope(sim::NodeId from, const rpc::Envelope& env) {
-  retired_.clear();
   for (auto& [op_id, op] : ops_) {
     if (op->call && op->call->on_reply(from, env)) return;
   }
@@ -550,21 +530,10 @@ BqsEquivocator::BqsEquivocator(const quorum::QuorumConfig& config, ClientId id,
                                rpc::Transport& transport,
                                sim::Scheduler& scheduler,
                                std::vector<sim::NodeId> replica_nodes, Rng rng)
-    : config_(config),
-      id_(id),
-      keystore_(keystore),
-      signer_(keystore.register_principal(quorum::client_principal(id))),
-      transport_(transport),
-      sim_(scheduler),
-      replica_nodes_(std::move(replica_nodes)),
-      nonces_(id, rng) {
-  transport_.set_receiver([this](sim::NodeId from, const rpc::Envelope& env) {
-    on_envelope(from, env);
-  });
-}
+    : ClientEndpoint(config, id, keystore, transport, scheduler,
+                     std::move(replica_nodes), rng, /*first_rpc_id=*/0xbad) {}
 
 void BqsEquivocator::on_envelope(sim::NodeId from, const rpc::Envelope& env) {
-  retired_.clear();
   if (call_) call_->on_reply(from, env);
 }
 
@@ -574,15 +543,11 @@ void BqsEquivocator::attack(ObjectId object, Bytes v1, Bytes v2,
   req.object = object;
   req.nonce = nonces_.next();
   const crypto::Nonce nonce = req.nonce;
-  rpc::Envelope env;
-  env.type = rpc::MsgType::kBqsReadTs;
-  env.rpc_id = next_rpc_id_++;
-  env.sender = quorum::client_principal(id_);
-  env.body = req.encode();
 
   auto max_ts = std::make_shared<Timestamp>();
   call_ = std::make_unique<rpc::QuorumCall>(
-      sim_, transport_, replica_nodes_, config_.q, std::move(env),
+      sim_, transport_, replica_nodes_, config_.q,
+      make_request(rpc::MsgType::kBqsReadTs, req.encode()),
       [this, object, nonce, max_ts](std::uint32_t idx,
                                     const rpc::Envelope& e) {
         if (e.type != rpc::MsgType::kBqsReadTsReply) return false;
@@ -609,11 +574,8 @@ void BqsEquivocator::attack(ObjectId object, Bytes v1, Bytes v2,
               signer_.sign(bqs_value_statement(object, t, crypto::sha256(v)));
           if (!sig.is_ok()) return;
           w.sig = std::move(sig).take();
-          rpc::Envelope env;
-          env.type = rpc::MsgType::kBqsWrite;
-          env.rpc_id = next_rpc_id_++;
-          env.sender = quorum::client_principal(id_);
-          env.body = w.encode();
+          const rpc::Envelope env =
+              make_request(rpc::MsgType::kBqsWrite, w.encode());
           for (std::size_t i = lo; i < hi; ++i)
             transport_.send(replica_nodes_[i], env);
         };

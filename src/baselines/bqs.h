@@ -25,11 +25,7 @@
 #include "crypto/sha256.h"
 #include "quorum/config.h"
 #include "quorum/statements.h"
-#include "rpc/quorum_call.h"
-#include "rpc/transport.h"
-#include "sim/simulator.h"
-#include "util/rng.h"
-#include "util/stats.h"
+#include "rpc/client_endpoint.h"
 
 namespace bftbc::baselines {
 
@@ -78,16 +74,14 @@ struct BqsClientOptions {
   sim::Time op_deadline = 0;
 };
 
-class BqsClient {
+class BqsClient final : public rpc::ClientEndpoint {
  public:
   BqsClient(const quorum::QuorumConfig& config, ClientId id,
             crypto::Keystore& keystore, rpc::Transport& transport,
             sim::Scheduler& scheduler, std::vector<sim::NodeId> replica_nodes,
             Rng rng, BqsClientOptions options = BqsClientOptions());
 
-  ~BqsClient();
-
-  ClientId id() const { return id_; }
+  ~BqsClient() override;
 
   struct WriteResult {
     Timestamp ts;
@@ -104,35 +98,20 @@ class BqsClient {
   using ReadCallback = std::function<void(Result<ReadResult>)>;
   void read(ObjectId object, ReadCallback cb);
 
-  const Counters& metrics() const { return metrics_; }
-
  private:
   struct Op;
-  void on_envelope(sim::NodeId from, const rpc::Envelope& env);
-  rpc::Envelope make_request(rpc::MsgType type, Bytes body);
+  void on_envelope(sim::NodeId from, const rpc::Envelope& env) override;
 
-  quorum::QuorumConfig config_;
-  ClientId id_;
-  crypto::Keystore& keystore_;
-  crypto::Signer signer_;
-  rpc::Transport& transport_;
-  sim::Scheduler& sim_;
-  std::vector<sim::NodeId> replica_nodes_;
-  crypto::NonceGenerator nonces_;
   BqsClientOptions options_;
-
   std::map<std::uint64_t, std::unique_ptr<Op>> ops_;
-  std::vector<std::unique_ptr<rpc::QuorumCall>> retired_;
   std::uint64_t next_op_id_ = 1;
-  std::uint64_t next_rpc_id_ = 1;
-  Counters metrics_;
 };
 
 // A Byzantine BQS client demonstrating the equivocation hole: signs two
 // different values with the SAME timestamp and sends each to half the
 // replicas. Succeeds (splits the replica state) because BQS replicas
 // cannot tell — there is no prepare round.
-class BqsEquivocator {
+class BqsEquivocator final : public rpc::ClientEndpoint {
  public:
   BqsEquivocator(const quorum::QuorumConfig& config, ClientId id,
                  crypto::Keystore& keystore, rpc::Transport& transport,
@@ -144,19 +123,9 @@ class BqsEquivocator {
               std::function<void()> done);
 
  private:
-  void on_envelope(sim::NodeId from, const rpc::Envelope& env);
+  void on_envelope(sim::NodeId from, const rpc::Envelope& env) override;
 
-  quorum::QuorumConfig config_;
-  ClientId id_;
-  crypto::Keystore& keystore_;
-  crypto::Signer signer_;
-  rpc::Transport& transport_;
-  sim::Scheduler& sim_;
-  std::vector<sim::NodeId> replica_nodes_;
-  crypto::NonceGenerator nonces_;
   std::unique_ptr<rpc::QuorumCall> call_;
-  std::vector<std::unique_ptr<rpc::QuorumCall>> retired_;
-  std::uint64_t next_rpc_id_ = 0xbad;
 };
 
 }  // namespace bftbc::baselines

@@ -24,11 +24,7 @@
 #include "crypto/sha256.h"
 #include "quorum/config.h"
 #include "quorum/statements.h"
-#include "rpc/quorum_call.h"
-#include "rpc/transport.h"
-#include "sim/simulator.h"
-#include "util/rng.h"
-#include "util/stats.h"
+#include "rpc/client_endpoint.h"
 
 namespace bftbc::baselines {
 
@@ -84,7 +80,7 @@ struct PhalanxClientOptions {
   rpc::QuorumCallOptions rpc;
 };
 
-class PhalanxClient {
+class PhalanxClient final : public rpc::ClientEndpoint {
  public:
   PhalanxClient(const quorum::QuorumConfig& config, ClientId id,
                 crypto::Keystore& keystore, rpc::Transport& transport,
@@ -92,9 +88,7 @@ class PhalanxClient {
                 std::vector<sim::NodeId> replica_nodes, Rng rng,
                 PhalanxClientOptions options = PhalanxClientOptions());
 
-  ~PhalanxClient();
-
-  ClientId id() const { return id_; }
+  ~PhalanxClient() override;
 
   struct WriteResult {
     Timestamp ts;
@@ -113,28 +107,13 @@ class PhalanxClient {
   using ReadCallback = std::function<void(Result<ReadResult>)>;
   void read(ObjectId object, ReadCallback cb);
 
-  const Counters& metrics() const { return metrics_; }
-
  private:
   struct Op;
-  void on_envelope(sim::NodeId from, const rpc::Envelope& env);
-  rpc::Envelope make_request(rpc::MsgType type, Bytes body);
+  void on_envelope(sim::NodeId from, const rpc::Envelope& env) override;
 
-  quorum::QuorumConfig config_;
-  ClientId id_;
-  crypto::Keystore& keystore_;
-  crypto::Signer signer_;
-  rpc::Transport& transport_;
-  sim::Scheduler& sim_;
-  std::vector<sim::NodeId> replica_nodes_;
-  crypto::NonceGenerator nonces_;
   PhalanxClientOptions options_;
-
   std::map<std::uint64_t, std::unique_ptr<Op>> ops_;
-  std::vector<std::unique_ptr<rpc::QuorumCall>> retired_;
   std::uint64_t next_op_id_ = 1;
-  std::uint64_t next_rpc_id_ = 1;
-  Counters metrics_;
 };
 
 }  // namespace bftbc::baselines

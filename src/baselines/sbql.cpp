@@ -345,35 +345,15 @@ SbqlClient::SbqlClient(const quorum::QuorumConfig& config, quorum::ClientId id,
                        sim::Scheduler& scheduler,
                        std::vector<sim::NodeId> replica_nodes, Rng rng,
                        SbqlClientOptions options)
-    : config_(config),
-      id_(id),
-      keystore_(keystore),
-      signer_(keystore.register_principal(quorum::client_principal(id))),
-      transport_(transport),
-      sim_(scheduler),
-      replica_nodes_(std::move(replica_nodes)),
-      nonces_(id, rng),
-      options_(options) {
-  transport_.set_receiver([this](sim::NodeId from, const rpc::Envelope& env) {
-    on_envelope(from, env);
-  });
-}
+    : ClientEndpoint(config, id, keystore, transport, scheduler,
+                     std::move(replica_nodes), rng, /*first_rpc_id=*/1),
+      options_(options) {}
 
 SbqlClient::~SbqlClient() {
   for (auto& [op_id, op] : ops_) sim_.cancel(op->reread_timer);
 }
 
-rpc::Envelope SbqlClient::make_request(rpc::MsgType type, Bytes body) {
-  rpc::Envelope env;
-  env.type = type;
-  env.rpc_id = next_rpc_id_++;
-  env.sender = quorum::client_principal(id_);
-  env.body = std::move(body);
-  return env;
-}
-
 void SbqlClient::on_envelope(sim::NodeId from, const rpc::Envelope& env) {
-  retired_.clear();
   for (auto& [op_id, op] : ops_) {
     if (op->call && op->call->on_reply(from, env)) return;
   }

@@ -31,11 +31,7 @@
 #include "crypto/sha256.h"
 #include "quorum/config.h"
 #include "quorum/statements.h"
-#include "rpc/quorum_call.h"
-#include "rpc/transport.h"
-#include "sim/simulator.h"
-#include "util/rng.h"
-#include "util/stats.h"
+#include "rpc/client_endpoint.h"
 
 namespace bftbc::baselines {
 
@@ -101,15 +97,13 @@ struct SbqlClientOptions {
   int max_read_rounds = 100;
 };
 
-class SbqlClient {
+class SbqlClient final : public rpc::ClientEndpoint {
  public:
   SbqlClient(const quorum::QuorumConfig& config, quorum::ClientId id,
              crypto::Keystore& keystore, rpc::Transport& transport,
              sim::Scheduler& scheduler, std::vector<sim::NodeId> replica_nodes,
              Rng rng, SbqlClientOptions options = SbqlClientOptions());
-  ~SbqlClient();
-
-  quorum::ClientId id() const { return id_; }
+  ~SbqlClient() override;
 
   struct WriteResult {
     Timestamp ts;
@@ -126,29 +120,14 @@ class SbqlClient {
   using ReadCallback = std::function<void(Result<ReadResult>)>;
   void read(ObjectId object, ReadCallback cb);
 
-  const Counters& metrics() const { return metrics_; }
-
  private:
   struct Op;
   void start_read_round(std::uint64_t op_id);
-  void on_envelope(sim::NodeId from, const rpc::Envelope& env);
-  rpc::Envelope make_request(rpc::MsgType type, Bytes body);
+  void on_envelope(sim::NodeId from, const rpc::Envelope& env) override;
 
-  quorum::QuorumConfig config_;
-  quorum::ClientId id_;
-  crypto::Keystore& keystore_;
-  crypto::Signer signer_;
-  rpc::Transport& transport_;
-  sim::Scheduler& sim_;
-  std::vector<sim::NodeId> replica_nodes_;
-  crypto::NonceGenerator nonces_;
   SbqlClientOptions options_;
-
   std::map<std::uint64_t, std::unique_ptr<Op>> ops_;
-  std::vector<std::unique_ptr<rpc::QuorumCall>> retired_;
   std::uint64_t next_op_id_ = 1;
-  std::uint64_t next_rpc_id_ = 1;
-  Counters metrics_;
 };
 
 }  // namespace bftbc::baselines

@@ -76,14 +76,8 @@ Client::Client(const quorum::QuorumConfig& config, quorum::ClientId id,
                sim::Scheduler& scheduler,
                std::vector<sim::NodeId> replica_nodes, Rng rng,
                ClientOptions options)
-    : config_(config),
-      id_(id),
-      keystore_(keystore),
-      signer_(keystore.register_principal(quorum::client_principal(id))),
-      transport_(transport),
-      sim_(scheduler),
-      replica_nodes_(std::move(replica_nodes)),
-      nonces_(id, rng),
+    : ClientEndpoint(config, id, keystore, transport, scheduler,
+                     std::move(replica_nodes), rng, /*first_rpc_id=*/1),
       options_(options),
       tracer_(options.tracer) {
   replica_principals_.reserve(replica_nodes_.size());
@@ -91,9 +85,6 @@ Client::Client(const quorum::QuorumConfig& config, quorum::ClientId id,
     replica_principals_.push_back(
         quorum::replica_principal(static_cast<quorum::ReplicaId>(i)));
   }
-  transport_.set_receiver([this](sim::NodeId from, const rpc::Envelope& env) {
-    on_envelope(from, env);
-  });
   if (options_.registry != nullptr) {
     metrics::MetricsRegistry& r = *options_.registry;
     const std::string& p = options_.metrics_prefix;
@@ -145,20 +136,11 @@ bool Client::check_reply_auth(std::uint32_t idx, BytesView payload,
   return keystore_.verify_cached(quorum::replica_principal(idx), payload, auth);
 }
 
-rpc::Envelope Client::make_request(rpc::MsgType type, Bytes body) {
-  rpc::Envelope env;
-  env.type = type;
-  env.rpc_id = next_rpc_id_++;
-  env.sender = quorum::client_principal(id_);
-  env.body = std::move(body);
-  return env;
-}
-
 void Client::begin_call(OpBase& op, rpc::Envelope request,
                         rpc::QuorumCall::Validator validator,
                         std::function<void()> on_complete,
                         Summary* phase_lat, const char* phase_name) {
-  if (op.call) retired_calls_.push_back(std::move(op.call));
+  if (op.call) retired_.push_back(std::move(op.call));
   ++op.phases;
   if (tracer_ != nullptr && phase_name != nullptr) {
     tracer_->record(sim_.now(), metrics::TraceKind::kPhase, id_, op.op_id,
@@ -179,8 +161,6 @@ void Client::begin_call(OpBase& op, rpc::Envelope request,
 }
 
 void Client::on_envelope(sim::NodeId from, const rpc::Envelope& env) {
-  // No QuorumCall frame is active here, so parked calls can die now.
-  retired_calls_.clear();
   if (env.type == rpc::MsgType::kReplyBatch) {
     handle_reply_batch(from, env);
     return;
@@ -226,14 +206,14 @@ void Client::fail_op(std::uint64_t op_id, Status status) {
   std::unique_ptr<OpBase> op = std::move(it->second);
   ops_.erase(it);
   sim_.cancel(op->deadline_timer);
-  if (op->call) retired_calls_.push_back(std::move(op->call));
+  if (op->call) retired_.push_back(std::move(op->call));
   // Cancel an in-flight internal read silently.
   if (auto* w = dynamic_cast<WriteOp*>(op.get()); w && w->child_op_id != 0) {
     auto child = ops_.find(w->child_op_id);
     if (child != ops_.end()) {
       sim_.cancel(child->second->deadline_timer);
       if (child->second->call)
-        retired_calls_.push_back(std::move(child->second->call));
+        retired_.push_back(std::move(child->second->call));
       ops_.erase(child);
     }
   }
@@ -537,7 +517,7 @@ void Client::finish_write(WriteOp& op) {
   result.phases = op.phases;
   WriteCallback cb = std::move(op.cb);
   sim_.cancel(op.deadline_timer);
-  if (op.call) retired_calls_.push_back(std::move(op.call));
+  if (op.call) retired_.push_back(std::move(op.call));
   ops_.erase(op.op_id);
   if (cb) cb(Result<WriteResult>(result));
 }
@@ -771,7 +751,7 @@ void Client::finish_read(ReadOp& op) {
   }
 
   sim_.cancel(op.deadline_timer);
-  if (op.call) retired_calls_.push_back(std::move(op.call));
+  if (op.call) retired_.push_back(std::move(op.call));
 
   if (op.internal_cb) {
     InternalReadDone done;

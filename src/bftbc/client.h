@@ -25,11 +25,7 @@
 #include "bftbc/messages.h"
 #include "metrics/registry.h"
 #include "metrics/trace.h"
-#include "rpc/quorum_call.h"
-#include "rpc/transport.h"
-#include "sim/simulator.h"
-#include "util/rng.h"
-#include "util/stats.h"
+#include "rpc/client_endpoint.h"
 
 namespace bftbc::core {
 
@@ -70,7 +66,9 @@ struct ClientOptions {
   std::string metrics_prefix;
 };
 
-class Client {
+// Counters (metrics()): "writes", "reads", "write_phases", "read_phases",
+// "internal_reads" (strong-mode fallbacks), "opt_fast_writes".
+class Client final : public rpc::ClientEndpoint {
  public:
   // `scheduler` is the node's timer source: the discrete-event Simulator
   // in tests/benches, a net::EventLoop in a live deployment — the state
@@ -79,12 +77,8 @@ class Client {
          crypto::Keystore& keystore, rpc::Transport& transport,
          sim::Scheduler& scheduler, std::vector<sim::NodeId> replica_nodes,
          Rng rng, ClientOptions options = ClientOptions());
-  ~Client();
+  ~Client() override;
 
-  Client(const Client&) = delete;
-  Client& operator=(const Client&) = delete;
-
-  quorum::ClientId id() const { return id_; }
   const ClientOptions& options() const { return options_; }
 
   struct WriteResult {
@@ -127,10 +121,6 @@ class Client {
   // object (exposed for tests and for the colluder in src/faults).
   const std::optional<WriteCertificate>& last_write_cert(ObjectId object) const;
 
-  // Cumulative counters: "writes", "reads", "write_phases", "read_phases",
-  // "internal_reads" (strong-mode fallbacks), "opt_fast_writes".
-  const Counters& metrics() const { return metrics_; }
-
  private:
   struct WriteOp;
   struct ReadOp;
@@ -159,7 +149,7 @@ class Client {
   void finish_read(ReadOp& op);
 
   // --- plumbing ---------------------------------------------------------
-  void on_envelope(sim::NodeId from, const rpc::Envelope& env);
+  void on_envelope(sim::NodeId from, const rpc::Envelope& env) override;
   // Routes one reply envelope into whichever op's QuorumCall claims it.
   void dispatch_reply(sim::NodeId from, const rpc::Envelope& env);
   // Verifies a ReplyBatch's single authenticator, then dispatches the
@@ -174,7 +164,6 @@ class Client {
                   Summary* phase_lat = nullptr,
                   const char* phase_name = nullptr);
   void fail_op(std::uint64_t op_id, Status status);
-  rpc::Envelope make_request(rpc::MsgType type, Bytes body);
   OpBase* find_op(std::uint64_t id);
 
   // Request authentication: a signature, or (mac_auth) the n-replica MAC
@@ -189,27 +178,13 @@ class Client {
   // skipping objects that still have an op in flight).
   void pump_pipeline();
 
-  quorum::QuorumConfig config_;
-  quorum::ClientId id_;
-  crypto::Keystore& keystore_;
-  crypto::Signer signer_;
-  rpc::Transport& transport_;
-  sim::Scheduler& sim_;
-  std::vector<sim::NodeId> replica_nodes_;
   // Replica principals in replica_nodes_ order (authenticator slots).
   std::vector<crypto::PrincipalId> replica_principals_;
-  crypto::NonceGenerator nonces_;
   ClientOptions options_;
 
   std::map<std::uint64_t, std::unique_ptr<OpBase>> ops_;
-  // QuorumCalls being replaced mid-delivery park here until it is safe
-  // to destroy them (start of the next envelope / next op start).
-  std::vector<std::unique_ptr<rpc::QuorumCall>> retired_calls_;
-
   std::map<ObjectId, std::optional<WriteCertificate>> last_write_cert_;
   std::uint64_t next_op_id_ = 1;
-  std::uint64_t next_rpc_id_ = 1;
-  Counters metrics_;
 
   // Pipelined-write state (submit_write).
   struct PendingWrite {

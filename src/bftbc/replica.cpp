@@ -40,10 +40,6 @@ Replica::~Replica() {
 }
 
 void Replica::deliver(sim::NodeId from, const rpc::Envelope& env) {
-  if (!options_.batch_verify) {
-    on_envelope(from, env);
-    return;
-  }
   pending_batch_.push_back(PendingEnvelope{from, env});
   if (!flush_scheduled_) {
     flush_scheduled_ = true;
@@ -713,7 +709,7 @@ void Replica::handle_state_xfer(sim::NodeId from, const rpc::Envelope& env) {
 
 void Replica::route_recovery_reply(sim::NodeId from, const rpc::Envelope& env) {
   // No QuorumCall frame is active on entry, so parked calls can die now
-  // (same lifetime pattern as Client::retired_calls_).
+  // (same lifetime pattern as rpc::ClientEndpoint::retired_).
   retired_recovery_calls_.clear();
   for (auto& [rpc_id, rc] : recovery_calls_) {
     if (rc.call && rc.call->on_reply(from, env)) return;

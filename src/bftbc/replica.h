@@ -51,14 +51,6 @@ struct ReplicaOptions {
   // §3.1); when false, any client with a valid signature may write.
   // Reads are answered unconditionally either way.
   bool enforce_acl = false;
-  // Same-tick batch verification: all messages delivered to the replica
-  // at one virtual-time instant are drained into a single batch whose
-  // signature checks run through one sorted, cache-aware
-  // Keystore::verify_batch pass before the messages dispatch. Semantics
-  // are identical to per-message processing (handlers still re-check via
-  // the warmed verify cache); only the crypto schedule changes, and it
-  // stays deterministic because the flush is keyed to sim time.
-  bool batch_verify = true;
   // MAC-authenticator mode (paper §3.3.2): point-to-point messages —
   // client requests and replica replies — are authenticated with pair
   // MACs instead of signatures. Client request `sig` fields then carry
@@ -144,7 +136,6 @@ class Replica {
   // reasons ("drop_bad_auth", "drop_bad_cert", "drop_bad_ts",
   // "drop_plist_conflict", ...).
   const Counters& metrics() const { return metrics_; }
-  void reset_metrics() { metrics_.reset(); }
 
   // Access control list (only consulted when options.enforce_acl). The
   // administrator action of the paper's stop event: `deauthorize`
@@ -158,8 +149,12 @@ class Replica {
   }
 
  protected:
-  // Transport entry point: enqueues into the current tick's batch (or
-  // dispatches immediately when batching is off).
+  // Transport entry point: enqueues into the current tick's batch. Every
+  // message delivered at one virtual-time instant joins one batch, so its
+  // signature checks share a single sorted, cache-aware verify_batch
+  // pass; verdicts equal per-message processing (handlers re-check via
+  // the warmed cache), and the flush is keyed to sim time, so the crypto
+  // schedule stays deterministic.
   void deliver(sim::NodeId from, const rpc::Envelope& env);
 
   // Drains the tick's batch: one verify_batch pass over every signature
@@ -320,7 +315,7 @@ class Replica {
   };
   std::map<std::uint64_t, RecoveryCall> recovery_calls_;
   // Finished calls park here until no QuorumCall frame is on the stack
-  // (same pattern as Client::retired_calls_).
+  // (same pattern as rpc::ClientEndpoint::retired_).
   std::vector<std::unique_ptr<rpc::QuorumCall>> retired_recovery_calls_;
   std::uint64_t next_recovery_rpc_ = 1;
   RecoveryDone recovery_done_;

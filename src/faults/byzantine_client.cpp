@@ -13,21 +13,11 @@ AttackClientBase::AttackClientBase(const quorum::QuorumConfig& config,
                                    sim::Scheduler& scheduler,
                                    std::vector<sim::NodeId> replica_nodes,
                                    Rng rng)
-    : config_(config),
-      id_(id),
-      keystore_(keystore),
-      signer_(keystore.register_principal(quorum::client_principal(id))),
-      transport_(transport),
-      sim_(scheduler),
-      replica_nodes_(std::move(replica_nodes)),
-      nonces_(id, rng) {
-  transport_.set_receiver([this](sim::NodeId from, const rpc::Envelope& env) {
-    on_envelope(from, env);
-  });
-}
+    : ClientEndpoint(config, id, keystore, transport, scheduler,
+                     std::move(replica_nodes), rng,
+                     /*first_rpc_id=*/0x0b5e55ed) {}
 
 void AttackClientBase::on_envelope(sim::NodeId from, const rpc::Envelope& env) {
-  retired_.clear();
   auto it = calls_.find(env.rpc_id);
   if (it == calls_.end() || !it->second.call) return;
   it->second.call->on_reply(from, env);
@@ -45,15 +35,6 @@ Bytes AttackClientBase::request_auth(BytesView payload) const {
   }
   auto sig = signer_.sign(payload);
   return sig.is_ok() ? std::move(sig).take() : Bytes{};
-}
-
-rpc::Envelope AttackClientBase::make_request(rpc::MsgType type, Bytes body) {
-  rpc::Envelope env;
-  env.type = type;
-  env.rpc_id = next_rpc_id_++;
-  env.sender = quorum::client_principal(id_);
-  env.body = std::move(body);
-  return env;
 }
 
 core::PrepareRequest AttackClientBase::make_prepare(

@@ -33,11 +33,7 @@
 #include <optional>
 
 #include "bftbc/messages.h"
-#include "rpc/quorum_call.h"
-#include "rpc/transport.h"
-#include "sim/simulator.h"
-#include "util/rng.h"
-#include "util/stats.h"
+#include "rpc/client_endpoint.h"
 
 namespace bftbc::faults {
 
@@ -46,17 +42,14 @@ using core::PrepareCertificate;
 using core::Timestamp;
 using core::WriteCertificate;
 
-// Shared plumbing: transport receive loop routing into QuorumCalls.
-class AttackClientBase {
+// Shared attack plumbing: replies route by rpc id into the QuorumCalls
+// the phase helpers below start.
+class AttackClientBase : public rpc::ClientEndpoint {
  public:
   AttackClientBase(const quorum::QuorumConfig& config, quorum::ClientId id,
                    crypto::Keystore& keystore, rpc::Transport& transport,
                    sim::Scheduler& scheduler,
                    std::vector<sim::NodeId> replica_nodes, Rng rng);
-  virtual ~AttackClientBase() = default;
-
-  quorum::ClientId id() const { return id_; }
-  const Counters& metrics() const { return metrics_; }
 
   // Match the cluster's protocol mode: with MAC authenticators on,
   // attack requests carry them too (replicas would otherwise drop every
@@ -86,7 +79,6 @@ class AttackClientBase {
                        std::uint32_t expected, sim::Time give_up_after,
                        std::function<void(quorum::SignatureSet)> done);
 
-  rpc::Envelope make_request(rpc::MsgType type, Bytes body);
   core::PrepareRequest make_prepare(ObjectId object, const Timestamp& t,
                                     const crypto::Digest& h,
                                     const PrepareCertificate& justification,
@@ -94,24 +86,12 @@ class AttackClientBase {
   core::WriteRequest make_write(ObjectId object, Bytes value,
                                 const PrepareCertificate& pnew);
 
-  void on_envelope(sim::NodeId from, const rpc::Envelope& env);
-
-  quorum::QuorumConfig config_;
-  quorum::ClientId id_;
-  crypto::Keystore& keystore_;
-  crypto::Signer signer_;
-  rpc::Transport& transport_;
-  sim::Scheduler& sim_;
-  std::vector<sim::NodeId> replica_nodes_;
-  crypto::NonceGenerator nonces_;
-  Counters metrics_;
+  void on_envelope(sim::NodeId from, const rpc::Envelope& env) override;
 
   struct PendingCall {
     std::unique_ptr<rpc::QuorumCall> call;
   };
   std::map<std::uint64_t, PendingCall> calls_;  // keyed by rpc id
-  std::vector<std::unique_ptr<rpc::QuorumCall>> retired_;
-  std::uint64_t next_rpc_id_ = 0x0b5e55ed;
   bool mac_auth_ = false;
 };
 

@@ -21,7 +21,6 @@ Cluster::Cluster(ClusterOptions options)
       rng_(options_.seed),
       tracer_(options_.trace_capacity),
       net_(sim_, rng_.split(), options_.link) {
-  net_.bind_metrics(metrics_, "net");
   if (tracer_.enabled()) net_.set_tracer(&tracer_);
 
   const std::uint64_t key_base = options_.seed ^ 0x5eedc0de;
@@ -120,6 +119,8 @@ shard::RoutingClient& Cluster::add_client(
 }
 
 metrics::MetricsRegistry& Cluster::snapshot_metrics() {
+  // One network carries every shard's traffic: "net/msgs_sent", ...
+  metrics_.fold_counters("net", net_.counters());
   const bool sharded = shards() > 1;
   for (std::uint32_t s = 0; s < shards(); ++s) {
     const std::string group = sharded ? "shard/" + std::to_string(s) : "";

@@ -199,17 +199,18 @@ class Cluster {
   void settle();
 
   // ---- observability --------------------------------------------------
-  // The cluster-wide registry. Network/replica/client hot paths record
-  // into it directly; legacy Counters sources are folded in by
-  // snapshot_metrics(). Each cluster owns its own registry so concurrent
-  // experiments in one process do not bleed into each other.
+  // The cluster-wide registry. Replica/client hot paths record latencies
+  // and grant totals into it directly; Counters sources (network,
+  // replicas, clients, keystores) are folded in by snapshot_metrics().
+  // Each cluster owns its own registry so concurrent experiments in one
+  // process do not bleed into each other.
   metrics::MetricsRegistry& metrics_registry() { return metrics_; }
   // One ring for the whole fleet: every shard's traffic and client legs.
   metrics::Tracer& tracer() { return tracer_; }
 
-  // Folds the replica / client / keystore Counters into the registry
-  // (SET semantics — safe to call repeatedly) and returns it. Call
-  // before reading or serializing cluster metrics.
+  // Folds the network / replica / client / keystore Counters into the
+  // registry (SET semantics — safe to call repeatedly) and returns it.
+  // Call before reading or serializing cluster metrics.
   metrics::MetricsRegistry& snapshot_metrics();
 
   // Dumps the event ring buffer (oldest first) — for test failure paths.

@@ -4,33 +4,22 @@
 
 namespace bftbc::sim {
 
+Network::Network(Simulator& simulator, Rng rng, LinkConfig default_link)
+    : sim_(simulator), rng_(rng), default_link_(default_link) {
+  for (const char* name :
+       {"msgs_sent", "msgs_delivered", "msgs_dropped", "msgs_duplicated",
+        "msgs_corrupted", "bytes_sent", "bytes_delivered", "encode_calls"}) {
+    counters_.inc(name, 0);
+  }
+}
+
 void Network::register_node(NodeId id, Handler handler) {
   handlers_[id] = std::move(handler);
 }
 
 void Network::unregister_node(NodeId id) { handlers_.erase(id); }
 
-void Network::bind_metrics(metrics::MetricsRegistry& registry,
-                           const std::string& scope,
-                           const std::set<std::string>* only) {
-  metrics::MetricsRegistry::Scope s = registry.scoped(scope);
-  auto bind = [&](const char* name, metrics::Counter*& slot) {
-    if (only == nullptr || only->count(name) != 0) slot = &s.counter(name);
-  };
-  bind("msgs_sent", reg_.msgs_sent);
-  bind("msgs_delivered", reg_.msgs_delivered);
-  bind("msgs_dropped", reg_.msgs_dropped);
-  bind("msgs_duplicated", reg_.msgs_duplicated);
-  bind("msgs_corrupted", reg_.msgs_corrupted);
-  bind("bytes_sent", reg_.bytes_sent);
-  bind("bytes_delivered", reg_.bytes_delivered);
-  bind("encode_calls", reg_.encode_calls);
-}
-
-void Network::note_encode() {
-  counters_.inc("encode_calls");
-  if (reg_.encode_calls) reg_.encode_calls->inc();
-}
+void Network::note_encode() { counters_.inc("encode_calls"); }
 
 const LinkConfig& Network::link_for(NodeId from, NodeId to) const {
   auto it = link_overrides_.find({from, to});
@@ -53,7 +42,6 @@ void Network::deliver_later(NodeId from, NodeId to, EncodedMessage payload,
   sim_.schedule(delay, [this, from, to, payload = std::move(payload)]() {
     if (crashed_.count(to) != 0 || handlers_.find(to) == handlers_.end()) {
       counters_.inc("msgs_dropped");
-      if (reg_.msgs_dropped) reg_.msgs_dropped->inc();
       if (tracer_) {
         tracer_->record(sim_.now(), metrics::TraceKind::kMsgDrop, from, to,
                         crashed_.count(to) ? "crashed" : "unregistered");
@@ -62,10 +50,6 @@ void Network::deliver_later(NodeId from, NodeId to, EncodedMessage payload,
     }
     counters_.inc("msgs_delivered");
     counters_.inc("bytes_delivered", payload.size());
-    // Per-pointer guards: a partial bind_metrics leaves individual
-    // handles null, and one bound pointer says nothing about another.
-    if (reg_.msgs_delivered) reg_.msgs_delivered->inc();
-    if (reg_.bytes_delivered) reg_.bytes_delivered->inc(payload.size());
     if (tracer_) {
       tracer_->record(sim_.now(), metrics::TraceKind::kMsgDeliver, from, to);
     }
@@ -76,8 +60,6 @@ void Network::deliver_later(NodeId from, NodeId to, EncodedMessage payload,
 void Network::send(NodeId from, NodeId to, const EncodedMessage& payload) {
   counters_.inc("msgs_sent");
   counters_.inc("bytes_sent", payload.size());
-  if (reg_.msgs_sent) reg_.msgs_sent->inc();
-  if (reg_.bytes_sent) reg_.bytes_sent->inc(payload.size());
   if (tracer_) {
     tracer_->record(sim_.now(), metrics::TraceKind::kMsgSend, from, to,
                     std::to_string(payload.size()) + "B");
@@ -85,7 +67,6 @@ void Network::send(NodeId from, NodeId to, const EncodedMessage& payload) {
 
   if (is_partitioned(from, to) || crashed_.count(to) != 0) {
     counters_.inc("msgs_dropped");
-    if (reg_.msgs_dropped) reg_.msgs_dropped->inc();
     if (tracer_) {
       tracer_->record(sim_.now(), metrics::TraceKind::kMsgDrop, from, to,
                       is_partitioned(from, to) ? "partitioned" : "crashed");
@@ -96,7 +77,6 @@ void Network::send(NodeId from, NodeId to, const EncodedMessage& payload) {
   const LinkConfig& cfg = link_for(from, to);
   if (rng_.next_bool(cfg.loss_probability)) {
     counters_.inc("msgs_dropped");
-    if (reg_.msgs_dropped) reg_.msgs_dropped->inc();
     if (tracer_) {
       tracer_->record(sim_.now(), metrics::TraceKind::kMsgDrop, from, to,
                       "loss");
@@ -114,12 +94,10 @@ void Network::send(NodeId from, NodeId to, const EncodedMessage& payload) {
     mutated[idx] ^= static_cast<std::uint8_t>(1 + rng_.next_below(255));
     to_deliver = EncodedMessage::wrap(std::move(mutated));
     counters_.inc("msgs_corrupted");
-    if (reg_.msgs_corrupted) reg_.msgs_corrupted->inc();
   }
 
   if (rng_.next_bool(cfg.duplicate_probability)) {
     counters_.inc("msgs_duplicated");
-    if (reg_.msgs_duplicated) reg_.msgs_duplicated->inc();
     // The duplicate shares the same buffer as the original delivery.
     deliver_later(from, to, to_deliver, draw_delay(cfg));
   }

@@ -22,7 +22,6 @@
 #include <set>
 #include <vector>
 
-#include "metrics/registry.h"
 #include "metrics/trace.h"
 #include "sim/simulator.h"
 #include "util/bytes.h"
@@ -44,8 +43,7 @@ struct LinkConfig {
 
 class Network {
  public:
-  Network(Simulator& simulator, Rng rng, LinkConfig default_link = {})
-      : sim_(simulator), rng_(rng), default_link_(default_link) {}
+  Network(Simulator& simulator, Rng rng, LinkConfig default_link = {});
 
   // Handlers receive the shared immutable wire buffer: retaining it past
   // the callback is one refcount bump, never a copy.
@@ -90,24 +88,12 @@ class Network {
   void recover(NodeId id) { crashed_.erase(id); }
   bool is_crashed(NodeId id) const { return crashed_.count(id) != 0; }
 
-  // Traffic accounting for the message-complexity experiments:
-  // "msgs_sent", "msgs_delivered", "msgs_dropped", "msgs_duplicated",
-  // "msgs_corrupted", "bytes_sent", "bytes_delivered".
+  // Cumulative traffic accounting for the message-complexity
+  // experiments: "msgs_sent", "msgs_delivered", "msgs_dropped",
+  // "msgs_duplicated", "msgs_corrupted", "bytes_sent", "bytes_delivered"
+  // and "encode_calls". All eight are present from construction on (at
+  // zero until something happens), so a registry fold lists every one.
   const Counters& counters() const { return counters_; }
-  void reset_counters() { counters_.reset(); }
-
-  // Resolves O(1) registry handles under `scope` (e.g. "net/msgs_sent")
-  // so the same totals also land in the metrics registry the harness
-  // snapshots into bench JSON. Recording goes through pre-resolved
-  // pointers — no per-message name lookups.
-  //
-  // When `only` is non-null, just the named counters are bound and every
-  // other handle stays null — callers that track a subset (say, message
-  // counts without byte totals) are a supported configuration, so each
-  // recording site guards each pointer individually.
-  void bind_metrics(metrics::MetricsRegistry& registry,
-                    const std::string& scope,
-                    const std::set<std::string>* only = nullptr);
 
   // Optional event tracer: message send/deliver/drop events are recorded
   // into the ring buffer (null disables).
@@ -127,19 +113,6 @@ class Network {
   std::set<std::pair<NodeId, NodeId>> partitions_;  // normalized (min,max)
   std::set<NodeId> crashed_;
   Counters counters_;
-
-  // Pre-resolved registry handles (all null until bind_metrics).
-  struct RegistryHandles {
-    metrics::Counter* msgs_sent = nullptr;
-    metrics::Counter* msgs_delivered = nullptr;
-    metrics::Counter* msgs_dropped = nullptr;
-    metrics::Counter* msgs_duplicated = nullptr;
-    metrics::Counter* msgs_corrupted = nullptr;
-    metrics::Counter* bytes_sent = nullptr;
-    metrics::Counter* bytes_delivered = nullptr;
-    metrics::Counter* encode_calls = nullptr;
-  };
-  RegistryHandles reg_;
   metrics::Tracer* tracer_ = nullptr;
 };
 

@@ -2,10 +2,18 @@
 // replica endpoints fully controlled by the test, which feed it crafted
 // (valid, invalid, and adversarial) replies. Verifies the client-side
 // validation rules: a Byzantine replica's reply never counts toward a
-// quorum unless it is exactly what the protocol demands.
+// quorum unless it is exactly what the protocol demands. The last test
+// pins the first request id of every client kind, baselines and attack
+// drivers included.
 #include <gtest/gtest.h>
 
+#include <numeric>
+
+#include "baselines/bqs.h"
+#include "baselines/phalanx.h"
+#include "baselines/sbql.h"
 #include "bftbc/client.h"
+#include "faults/byzantine_client.h"
 #include "quorum/statements.h"
 #include "rpc/transport.h"
 
@@ -515,6 +523,53 @@ TEST_F(ReplyBatchTest, RejectsBatchClaimingAnotherReplica) {
   }
   EXPECT_FALSE(result.has_value());
   EXPECT_EQ(client_->metrics().get("reply_batches"), 0u);
+}
+
+// Captures what a client sends and delivers nothing back.
+class CapturingTransport final : public rpc::Transport {
+ public:
+  sim::NodeId node_id() const override { return 100; }
+  void send(sim::NodeId, const rpc::Envelope& env) override {
+    sent.push_back(env);
+  }
+  void set_receiver(Receiver) override {}
+
+  std::vector<rpc::Envelope> sent;
+};
+
+// Builds a client of kind C, lets `start` begin its first operation, and
+// returns the rpc id of the first request it sent (0 if none).
+template <typename C, typename Start>
+std::uint64_t first_rpc_id(const quorum::QuorumConfig& config,
+                           const Start& start) {
+  sim::Simulator sim;
+  crypto::Keystore keystore(crypto::SignatureScheme::kHmacSim, 17);
+  CapturingTransport transport;
+  std::vector<sim::NodeId> replicas(config.n);
+  std::iota(replicas.begin(), replicas.end(), 0);
+  C client(config, kClient, keystore, transport, sim, replicas, Rng(5));
+  start(client);
+  return transport.sent.empty() ? 0 : transport.sent.front().rpc_id;
+}
+
+// Request ids are on the wire, so each client kind's first id is pinned:
+// the correct clients start at 1, the BQS equivocator at 0xbad and the
+// §3.2 attack drivers at 0x0b5e55ed.
+TEST(ClientRequestIdTest, FirstRequestIdIsFixedPerClientKind) {
+  const auto bft = quorum::QuorumConfig::bft_bc(1);
+  const auto masking = quorum::QuorumConfig::masking(1);
+  auto ignore = [](auto&&...) {};
+  auto write = [&](auto& c) { c.write(kObj, to_bytes("v"), ignore); };
+  auto equivocate = [&](auto& c) {
+    c.attack(kObj, to_bytes("a"), to_bytes("b"), ignore);
+  };
+  auto hog = [&](auto& c) { c.attack(kObj, 100, 1, ignore); };
+  EXPECT_EQ(first_rpc_id<Client>(bft, write), 1u);
+  EXPECT_EQ(first_rpc_id<baselines::BqsClient>(bft, write), 1u);
+  EXPECT_EQ(first_rpc_id<baselines::PhalanxClient>(masking, write), 1u);
+  EXPECT_EQ(first_rpc_id<baselines::SbqlClient>(bft, write), 1u);
+  EXPECT_EQ(first_rpc_id<baselines::BqsEquivocator>(bft, equivocate), 0xbadu);
+  EXPECT_EQ(first_rpc_id<faults::TimestampHog>(bft, hog), 0x0b5e55edu);
 }
 
 }  // namespace

@@ -190,29 +190,6 @@ TEST_F(TransportTest, MidBundleReceiverClearStopsDeliverySafely) {
   EXPECT_EQ(got[0], 1u);
 }
 
-TEST_F(TransportTest, PartialMetricsBindOnlyTouchesBoundCounters) {
-  // A subset bind leaves the other handles null; sending and delivering
-  // must guard every pointer individually (pre-fix, the delivery path
-  // dereferenced bytes_delivered under the msgs_delivered guard and the
-  // send path bytes_sent under msgs_sent — both crashed here).
-  metrics::MetricsRegistry registry;
-  const std::set<std::string> only{"msgs_sent", "msgs_delivered"};
-  net_.bind_metrics(registry, "net", &only);
-
-  SimTransport sender(net_, 1);
-  SimTransport receiver(net_, 2);
-  int delivered = 0;
-  receiver.set_receiver([&](sim::NodeId, const Envelope&) { ++delivered; });
-  sender.send(2, envelope(1, "a"));
-  sim_.run_until(500);
-
-  EXPECT_EQ(delivered, 1);
-  EXPECT_EQ(registry.counter("net/msgs_sent").value, 1u);
-  EXPECT_EQ(registry.counter("net/msgs_delivered").value, 1u);
-  EXPECT_EQ(registry.counter("net/bytes_sent").value, 0u);
-  EXPECT_EQ(registry.counter("net/bytes_delivered").value, 0u);
-}
-
 TEST_F(TransportTest, EncodeOnceAcrossRepeatSends) {
   SimTransport sender(net_, 1);
   SimTransport r2(net_, 2);
