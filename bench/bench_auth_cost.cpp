@@ -6,7 +6,7 @@
 //   - only the phase-2 response signature is on the critical path: the
 //     phase-3 signature can be computed in the background after phase 2
 //
-// Six parts:
+// Four parts, lettered as in EXPERIMENTS E8:
 //   (a) google-benchmark microbenchmarks of the real crypto: RSA-512 /
 //       1024 / 2048 sign+verify vs HMAC-SHA256 (the MAC-based authenticator),
 //       establishing the gap that motivates the optimization — plus the
@@ -17,16 +17,10 @@
 //   (c) the certificate-verification cache: a repeated-certificate write
 //       workload with real RSA signatures, cached vs uncached, reporting
 //       sig_cache_hit / sig_cache_miss / sig_verify_calls;
-//   (d) verify-pool scaling: wall-clock for one batch of distinct RSA
-//       signature checks as worker threads are added;
 //   (e) MAC-authenticator mode vs signature mode through the full
-//       protocol: RSA verifications per write in each mode;
-//   (f) batched certificate validation: one quorum certificate checked
-//       through verify_batch, inline vs pooled — the protocol entry
-//       point for the part-(d) machinery.
+//       protocol: RSA verifications per write in each mode.
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <cstring>
 
 #include "crypto/bigint.h"
@@ -34,7 +28,6 @@
 #include "crypto/rsa.h"
 #include "crypto/sha256_kernel.h"
 #include "crypto/signature.h"
-#include "crypto/verify_pool.h"
 #include "harness/cluster.h"
 #include "harness/table.h"
 #include "metrics/bench_report.h"
@@ -351,153 +344,6 @@ void report_verification_cache(metrics::BenchReport& report) {
 }
 
 // ------------------------------------------------------------------
-// Part (d): verify-pool scaling — one batch of distinct RSA checks.
-
-void report_verify_pool(metrics::BenchReport& report) {
-  harness::print_experiment_header(
-      "E8(d): threaded verification pool",
-      "a batch of independent signature checks is embarrassingly "
-      "parallel; the keystore fans the cryptographic pass of "
-      "verify_batch across a worker pool");
-
-  const std::size_t batch = report.smoke() ? 8 : 48;
-  const std::size_t q = quorum::QuorumConfig::bft_bc(1).n;
-  crypto::Keystore ks(crypto::SignatureScheme::kRsa, /*seed=*/17,
-                      /*rsa_bits=*/512);
-  std::vector<crypto::Keystore::VerifyItem> base;
-  for (std::size_t i = 0; i < batch; ++i) {
-    const crypto::PrincipalId p =
-        quorum::replica_principal(static_cast<quorum::ReplicaId>(i % q));
-    crypto::Keystore::VerifyItem item;
-    item.principal = p;
-    item.statement = to_bytes("pool-stmt-" + std::to_string(i));
-    item.sig = ks.register_principal(p).sign(item.statement).value();
-    base.push_back(std::move(item));
-  }
-  // Every run must do the real crypto: no memoized verdicts.
-  ks.set_verify_cache_capacity(0);
-
-  harness::Table table({"threads", "batch", "wall time (ms)", "speedup"});
-  double baseline_ms = 0;
-  // Full mode covers the whole scaling ladder the nightly pool-scaling
-  // job charts; smoke keeps the inline baseline plus one threaded point.
-  std::vector<std::size_t> thread_counts{0, 2, 4, 8};
-  if (report.smoke()) thread_counts.resize(2);
-  for (std::size_t threads : thread_counts) {
-    std::unique_ptr<crypto::VerifyPool> pool;
-    if (threads > 0) {
-      pool = std::make_unique<crypto::VerifyPool>(threads);
-      ks.set_verify_pool(pool.get());
-    } else {
-      ks.set_verify_pool(nullptr);
-    }
-    auto items = base;
-    const auto start = std::chrono::steady_clock::now();
-    const std::size_t checks = ks.verify_batch(items);
-    const auto stop = std::chrono::steady_clock::now();
-    ks.set_verify_pool(nullptr);
-    const double ms =
-        std::chrono::duration<double, std::milli>(stop - start).count();
-    if (threads == 0) baseline_ms = ms;
-    for (const auto& item : items) {
-      if (!item.valid) {
-        std::cout << "verify_pool: UNEXPECTED invalid verdict\n";
-        return;
-      }
-    }
-    const double speedup = ms > 0 ? baseline_ms / ms : 0.0;
-    report.registry()
-        .gauge("verify_pool/threads" + std::to_string(threads) + "_ms")
-        .set(ms);
-    if (threads > 0) {
-      report.registry()
-          .gauge("verify_pool/threads" + std::to_string(threads) + "_speedup")
-          .set(speedup);
-    }
-    table.add_row({std::to_string(threads) + (threads == 0 ? " (inline)" : ""),
-                   std::to_string(checks), harness::Table::num(ms),
-                   harness::Table::num(speedup, 2) + "x"});
-  }
-  table.print();
-  std::cout << "\n";
-}
-
-// ------------------------------------------------------------------
-// Part (f): batched certificate validation — a whole 2f+1-signature
-// quorum certificate checked through Keystore::verify_batch, inline vs
-// pooled. Unlike part (d)'s raw batch, this measures the protocol's own
-// entry point (PrepareCertificate::validate), which chunks the quorum's
-// signatures into one batch per pass so the early-exit-at-quorum
-// property is preserved while the cryptographic work still fans out.
-
-void report_batched_cert_validation(metrics::BenchReport& report) {
-  harness::print_experiment_header(
-      "E8(f): batched certificate validation",
-      "certificate validation hands the quorum's signatures to "
-      "verify_batch in one chunk; with workers attached, the 2f+1 RSA "
-      "checks of a single certificate run concurrently instead of "
-      "sequentially");
-
-  const std::uint32_t f = report.smoke() ? 1 : 5;
-  const quorum::QuorumConfig config = quorum::QuorumConfig::bft_bc(f);
-  crypto::Keystore ks(crypto::SignatureScheme::kRsa, /*seed=*/29,
-                      /*rsa_bits=*/512);
-  quorum::SignatureSet sigs;
-  const quorum::Timestamp ts{2, 1};
-  const crypto::Digest h = crypto::sha256(as_bytes_view("batched value"));
-  const Bytes stmt = quorum::prepare_reply_statement(1, ts, h);
-  for (quorum::ReplicaId r = 0; r < config.q; ++r) {
-    sigs[r] = ks.register_principal(quorum::replica_principal(r))
-                  .sign(stmt)
-                  .value();
-  }
-  const quorum::PrepareCertificate cert(1, ts, h, std::move(sigs));
-  // Every validation must do the real crypto: no memoized verdicts.
-  ks.set_verify_cache_capacity(0);
-
-  const int iters = report.smoke() ? 2 : 10;
-  harness::Table table({"threads", "sigs/cert", "per validate (ms)",
-                        "speedup"});
-  double baseline_ms = 0;
-  std::vector<std::size_t> thread_counts{0, 2, 4};
-  if (report.smoke()) thread_counts.resize(2);
-  for (std::size_t threads : thread_counts) {
-    std::unique_ptr<crypto::VerifyPool> pool;
-    if (threads > 0) {
-      pool = std::make_unique<crypto::VerifyPool>(threads);
-      ks.set_verify_pool(pool.get());
-    }
-    const auto start = std::chrono::steady_clock::now();
-    for (int i = 0; i < iters; ++i) {
-      if (!cert.validate(config, ks).is_ok()) {
-        std::cout << "cert_batch: UNEXPECTED invalid certificate\n";
-        return;
-      }
-    }
-    const auto stop = std::chrono::steady_clock::now();
-    ks.set_verify_pool(nullptr);
-    const double ms =
-        std::chrono::duration<double, std::milli>(stop - start).count() /
-        iters;
-    if (threads == 0) baseline_ms = ms;
-    const double speedup = ms > 0 ? baseline_ms / ms : 0.0;
-    report.registry()
-        .gauge("cert_batch/threads" + std::to_string(threads) + "_ms")
-        .set(ms);
-    if (threads > 0) {
-      report.registry()
-          .gauge("cert_batch/threads" + std::to_string(threads) + "_speedup")
-          .set(speedup);
-    }
-    table.add_row({std::to_string(threads) + (threads == 0 ? " (inline)" : ""),
-                   std::to_string(config.q), harness::Table::num(ms),
-                   harness::Table::num(speedup, 2) + "x"});
-  }
-  table.print();
-  std::cout << "\n";
-}
-
-// ------------------------------------------------------------------
 // Part (e): MAC-authenticator mode vs signature mode, full protocol.
 
 struct AuthModeStats {
@@ -582,8 +428,6 @@ int main(int argc, char** argv) {
 
   report_background_ablation(report);
   report_verification_cache(report);
-  report_verify_pool(report);
-  report_batched_cert_validation(report);
   report_auth_modes(report);
 
   harness::print_experiment_header(

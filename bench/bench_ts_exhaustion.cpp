@@ -84,7 +84,9 @@ int main(int argc, char** argv) {
 
   // --- BQS baseline: the same attack succeeds.
   {
-    BqsCluster cluster(BaselineOptions{.seed = 63});
+    BaselineOptions options;
+    options.seed = 63;
+    BqsCluster cluster(options);
     auto& good = cluster.add_client(1);
     (void)cluster.write(good, 1, to_bytes("v0"));
 

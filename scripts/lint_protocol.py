@@ -13,13 +13,16 @@ generic tool can express:
       calls are allowed only inside src/crypto/ itself. The same applies
       to the batch path: multi-item verification goes through
       Keystore::verify_batch; touching VerifyCache (or the keystore's
-      verify_cache() accessor) directly skips the verify lock and the
-      sig_cache_hit/miss counters the perf trajectory tracks. The worker
-      pool is keystore-internal too: protocol code must not construct a
-      VerifyPool or call parallel_for itself — the pool is handed to the
-      keystore (set_verify_pool) at process setup and verify_batch is the
-      only crypto that may fan out through it.
+      verify_cache() accessor) directly skips the sig_cache_hit/miss
+      counters the perf trajectory tracks.
       Scope: src/ except src/crypto/.
+
+  single-thread
+      Every binary runs one thread, so the keystore (verify cache and
+      counters), the metrics registry and the logger carry no locks. A
+      second thread anywhere in the program would race on them: no
+      std::thread, std::jthread, std::async or pthread_create.
+      Scope: src/ and tools/.
 
   nondeterminism
       Simulation and protocol code must stay deterministic for a fixed
@@ -52,7 +55,8 @@ bare allow() suppresses nothing and is itself reported (rule
 tools.
 
 Usage:
-  lint_protocol.py [--root DIR]          # lint DIR/src (default: repo root)
+  lint_protocol.py [--root DIR]          # lint DIR/src and DIR/tools
+                                         # (default: repo root)
   lint_protocol.py [--root DIR] FILE...  # lint specific files (paths are
                                          # interpreted relative to --root
                                          # for rule scoping)
@@ -103,8 +107,6 @@ RAW_VERIFY_RE = re.compile(
         | \bhmac_verify\s*\(
         | \bVerifyCache\b
         | (?:\.|->)\s*verify_cache\s*\(\s*\)
-        | \bVerifyPool\b
-        | (?:\.|->)\s*parallel_for\s*\(
         )""",
     re.VERBOSE,
 )
@@ -123,6 +125,31 @@ def check_raw_verify(rel, lines, findings):
                     "raw signature verification bypasses "
                     "Keystore::verify_cached (memoized path); only "
                     "src/crypto/ may call the primitives directly",
+                )
+            )
+
+
+# -------------------------------------------------------- single-thread
+
+SINGLE_THREAD_SCOPES = ("src/", "tools/")
+THREAD_START_RE = re.compile(
+    r"\bstd\s*::\s*(?:thread|jthread|async)\b|\bpthread_create\s*\("
+)
+
+
+def check_single_thread(rel, lines, findings):
+    if not rel.startswith(SINGLE_THREAD_SCOPES):
+        return
+    for i, line in enumerate(lines, 1):
+        if THREAD_START_RE.search(_scrub(line)):
+            findings.append(
+                Finding(
+                    rel,
+                    i,
+                    "single-thread",
+                    "starts a second thread; the keystore, metrics registry "
+                    "and logger are unsynchronised, so src/ and tools/ "
+                    "stay single-threaded",
                 )
             )
 
@@ -232,6 +259,7 @@ def check_replica_state_mutation(rel, lines, findings):
 
 CHECKS = (
     check_raw_verify,
+    check_single_thread,
     check_nondeterminism,
     check_unchecked_result_value,
     check_replica_state_mutation,
@@ -271,13 +299,14 @@ def lint_file(root: str, rel: str) -> list[Finding]:
 
 def discover(root: str) -> list[str]:
     rels = []
-    for dirpath, dirnames, filenames in os.walk(os.path.join(root, "src")):
-        dirnames.sort()
-        for name in sorted(filenames):
-            if name.endswith(CXX_EXTENSIONS):
-                rels.append(
-                    os.path.relpath(os.path.join(dirpath, name), root)
-                )
+    for top in ("src", "tools"):
+        for dirpath, dirnames, filenames in os.walk(os.path.join(root, top)):
+            dirnames.sort()
+            for name in sorted(filenames):
+                if name.endswith(CXX_EXTENSIONS):
+                    rels.append(
+                        os.path.relpath(os.path.join(dirpath, name), root)
+                    )
     return rels
 
 
@@ -295,7 +324,7 @@ def main(argv: list[str]) -> int:
         "files",
         nargs="*",
         help="specific files to lint (default: every C++ file under "
-        "<root>/src)",
+        "<root>/src and <root>/tools)",
     )
     args = parser.parse_args(argv[1:])
 

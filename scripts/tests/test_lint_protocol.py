@@ -26,8 +26,8 @@ CASES = {
     "raw_verify_fail.cpp": ("src/bftbc/fixture.cpp", "raw-verify"),
     "raw_verify_primitive_fail.cpp": ("src/quorum/fixture.cpp", "raw-verify"),
     "raw_verify_cache_fail.cpp": ("src/bftbc/fixture.cpp", "raw-verify"),
-    "raw_verify_pool_fail.cpp": ("src/bftbc/fixture.cpp", "raw-verify"),
     "raw_verify_pass.cpp": ("src/bftbc/fixture.cpp", None),
+    "single_thread_fail.cpp": ("tools/fixture.cpp", "single-thread"),
     "nondet_fail.cpp": ("src/sim/fixture.cpp", "nondeterminism"),
     "nondet_pass.cpp": ("src/sim/fixture.cpp", None),
     "unchecked_value_fail.cpp": (
@@ -89,6 +89,7 @@ def _make_case(fixture, staged_rel, rule):
             # It must trip ONLY its own rule: no cross-contamination.
             for other in {
                 "raw-verify",
+                "single-thread",
                 "nondeterminism",
                 "unchecked-result-value",
                 "replica-state-mutation",
@@ -106,12 +107,12 @@ for _fixture, (_rel, _rule) in CASES.items():
 class LintScopingTest(unittest.TestCase):
     def test_rules_do_not_fire_outside_their_scope(self):
         # The same raw-verify violation is legal inside src/crypto/ and in
-        # tests/; nondeterminism is legal outside the simulation dirs.
+        # tests/; threads are legal in tests/; nondeterminism is legal
+        # outside the simulation dirs.
         for fixture, rel in (
             ("raw_verify_fail.cpp", "src/crypto/fixture.cpp"),
             ("raw_verify_fail.cpp", "tests/fixture.cpp"),
-            ("raw_verify_pool_fail.cpp", "src/crypto/fixture.cpp"),
-            ("raw_verify_pool_fail.cpp", "tools/fixture.cpp"),
+            ("single_thread_fail.cpp", "tests/fixture.cpp"),
             ("nondet_fail.cpp", "src/util/fixture.cpp"),
             ("state_mutation_fail.cpp", "src/bftbc/replica_state.cpp"),
         ):
@@ -119,6 +120,14 @@ class LintScopingTest(unittest.TestCase):
             self.assertEqual(
                 rc, 0, f"{fixture} at {rel} must be out of scope:\n{out}"
             )
+
+    def test_single_thread_flags_every_thread_start_in_src_and_tools(self):
+        # One finding per line that starts a thread, in src/ (crypto
+        # included) as in tools/.
+        for rel in ("src/crypto/fixture.cpp", "tools/fixture.cpp"):
+            rc, out = run_linter_on("single_thread_fail.cpp", rel)
+            self.assertEqual(rc, 1, out)
+            self.assertEqual(out.count("[single-thread]"), 4, out)
 
     def test_explicit_file_arguments(self):
         with tempfile.TemporaryDirectory() as root:

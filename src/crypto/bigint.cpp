@@ -595,13 +595,13 @@ BigInt Montgomery::mod_exp(const BigInt& base, const BigInt& exp) const {
   const std::size_t k = k_;
   const bool windowed = bits > kPlainExpBits;
 
-  // One zeroed workspace per call (the context is shared across
-  // threads): the CIOS accumulator, the running power, and a table of
-  // k-word entries whose entry w is base^w in the domain — 16 entries
-  // for the window, 2 for square-and-multiply. Entry 0 instead holds a
-  // plain 1 for leaving the domain: no window reads it, because a
-  // window of zeros skips its multiply and the first window holds the
-  // exponent's top bit.
+  // One zeroed workspace per call (the context holds no scratch): the
+  // CIOS accumulator, the running power, and a table of k-word entries
+  // whose entry w is base^w in the domain — 16 entries for the window,
+  // 2 for square-and-multiply. Entry 0 instead holds a plain 1 for
+  // leaving the domain: no window reads it, because a window of zeros
+  // skips its multiply and the first window holds the exponent's top
+  // bit.
   std::vector<u64> ws(k + 2 + k + (windowed ? 16 : 2) * k);
   u64* t = ws.data();
   u64* acc = t + k + 2;

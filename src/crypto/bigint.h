@@ -111,8 +111,7 @@ class BigInt {
 // result out of it once, and runs the exponent loop in place in one
 // per-call workspace, so the kernels themselves never allocate. RSA
 // callers cache one context per key component (n, p, q). The context
-// is immutable after construction and holds no scratch, so concurrent
-// verifier threads can share it.
+// is immutable after construction and holds no scratch.
 //
 // The modulus width alone picks the kernels: at k = 4 (RSA-512's CRT
 // halves, 256-bit primality candidates) and k = 8 (RSA-512 moduli,

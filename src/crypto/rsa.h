@@ -48,8 +48,7 @@ RsaKeyPair rsa_generate(Rng& rng, std::size_t bits = 1024);
 
 // Cached Montgomery reduction contexts for one key. Building the
 // contexts costs a few divisions; every sign/verify after that skips
-// the per-operation precompute entirely. Immutable once constructed, so
-// one context can serve concurrent verifier threads.
+// the per-operation precompute entirely. Immutable once constructed.
 class RsaContext {
  public:
   explicit RsaContext(const RsaPublicKey& pub);

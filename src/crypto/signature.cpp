@@ -4,7 +4,6 @@
 #include <numeric>
 
 #include "crypto/hmac.h"
-#include "crypto/verify_pool.h"
 #include "util/codec.h"
 
 namespace bftbc::crypto {
@@ -89,10 +88,7 @@ Result<Bytes> Keystore::sign_internal(PrincipalId p, BytesView msg) {
   if (it == principals_.end()) return not_found("unknown principal");
   if (it->second.revoked)
     return unavailable("principal revoked (stopped)");
-  {
-    std::lock_guard<std::mutex> lock(verify_mu_);
-    counters_.inc("sign");
-  }
+  counters_.inc("sign");
   const Bytes bound = bind_principal(p, msg);
   if (scheme_ == SignatureScheme::kHmacSim) {
     Digest tag = hmac_sha256(it->second.hmac_secret, bound);
@@ -117,10 +113,7 @@ Result<Bytes> Keystore::mac_internal(PrincipalId sender, PrincipalId receiver,
     return unavailable("principal revoked (stopped)");
   if (principals_.count(receiver) == 0)
     return not_found("unknown MAC peer");
-  {
-    std::lock_guard<std::mutex> lock(verify_mu_);
-    counters_.inc("mac_sign");
-  }
+  counters_.inc("mac_sign");
   Bytes bound;
   bound.reserve(msg.size() + 8);
   append_principal(bound, sender);
@@ -133,10 +126,7 @@ bool Keystore::mac_check(PrincipalId sender, PrincipalId receiver,
                          BytesView msg, BytesView tag) const {
   if (principals_.count(sender) == 0 || principals_.count(receiver) == 0)
     return false;
-  {
-    std::lock_guard<std::mutex> lock(verify_mu_);
-    counters_.inc("mac_verify");
-  }
+  counters_.inc("mac_verify");
   Bytes bound;
   bound.reserve(msg.size() + 8);
   append_principal(bound, sender);
@@ -148,13 +138,8 @@ bool Keystore::mac_check(PrincipalId sender, PrincipalId receiver,
 bool Keystore::verify(PrincipalId signer, BytesView msg, BytesView sig) const {
   auto it = principals_.find(signer);
   if (it == principals_.end()) return false;
-  {
-    std::lock_guard<std::mutex> lock(verify_mu_);
-    counters_.inc("verify");
-    counters_.inc("sig_verify_calls");
-  }
-  // The cryptographic check itself runs unlocked: the key material is
-  // immutable after registration, so concurrent verifies parallelize.
+  counters_.inc("verify");
+  counters_.inc("sig_verify_calls");
   const Bytes bound = bind_principal(signer, msg);
   if (scheme_ == SignatureScheme::kHmacSim) {
     return hmac_verify(it->second.hmac_secret, bound, sig);
@@ -168,20 +153,13 @@ bool Keystore::verify_cached(PrincipalId signer, BytesView msg,
   // principal later must not be shadowed by a stale negative verdict.
   if (principals_.count(signer) == 0) return false;
   const VerifyCache::Key key = VerifyCache::make_key(signer, msg, sig);
-  {
-    std::lock_guard<std::mutex> lock(verify_mu_);
-    const int memo = verify_cache_.lookup(key);
-    if (memo >= 0) {
-      counters_.inc("sig_cache_hit");
-      return memo == 1;
-    }
-    counters_.inc("sig_cache_miss");
+  const int memo = verify_cache_.lookup(key);
+  if (memo >= 0) {
+    counters_.inc("sig_cache_hit");
+    return memo == 1;
   }
-  // Miss: run the real check outside the lock. Two threads racing on the
-  // same key both verify and insert the same verdict — wasted work at
-  // worst, never a wrong answer.
+  counters_.inc("sig_cache_miss");
   const bool valid = verify(signer, msg, sig);
-  std::lock_guard<std::mutex> lock(verify_mu_);
   verify_cache_.insert(key, valid);
   return valid;
 }
@@ -189,9 +167,9 @@ bool Keystore::verify_cached(PrincipalId signer, BytesView msg,
 std::size_t Keystore::verify_batch(std::vector<VerifyItem>& items) const {
   if (items.empty()) return 0;
 
-  // Hash every key outside the lock, then order item indices so that
-  // identical (principal, statement, signature) triples sit adjacent:
-  // each distinct triple costs one cache lookup and at most one real
+  // Hash every key, then order item indices so that identical
+  // (principal, statement, signature) triples sit adjacent: each
+  // distinct triple costs one cache lookup and at most one real
   // cryptographic check, no matter how often the batch repeats it.
   std::vector<VerifyCache::Key> keys;
   keys.reserve(items.size());
@@ -217,32 +195,22 @@ std::size_t Keystore::verify_batch(std::vector<VerifyItem>& items) const {
     }
   }
 
-  // Pass 1 (one lock acquisition): resolve every distinct triple against
-  // the cache. -1 marks a miss to be computed.
+  // Pass 1: resolve every distinct triple against the cache; -1 marks a
+  // miss. Every lookup runs before the first insert of pass 2: an insert
+  // into a full cache can evict an entry that a later lookup in this
+  // batch would have hit, so interleaving them would change the
+  // sig_cache_* counts.
   std::vector<int> verdicts(leaders.size(), -1);
   std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  {
-    std::lock_guard<std::mutex> lock(verify_mu_);
-    for (std::size_t g = 0; g < leaders.size(); ++g) {
-      verdicts[g] = verify_cache_.lookup(keys[order[leaders[g]]]);
-      if (verdicts[g] >= 0) ++hits;
-    }
+  for (std::size_t g = 0; g < leaders.size(); ++g) {
+    verdicts[g] = verify_cache_.lookup(keys[order[leaders[g]]]);
+    if (verdicts[g] >= 0) ++hits;
   }
 
-  // Pass 2 (no lock): real cryptography for the misses. Unknown
-  // principals are rejected without caching or counting, exactly like
-  // verify()/verify_cached(). The sequential filter loop builds a work
-  // list first; the cryptographic checks then run either inline or on
-  // the verify pool. Pool safety: each job touches only its own group's
-  // verdict slot (distinct ints) and immutable key material, so jobs
-  // share no mutable state.
-  std::vector<char> cacheable(leaders.size(), 0);
-  struct CryptoJob {
-    std::size_t group;
-    const PrincipalEntry* entry;
-  };
-  std::vector<CryptoJob> work;
+  // Pass 2: real cryptography for the misses, memoizing each fresh
+  // verdict. Unknown principals are rejected without caching or
+  // counting, exactly like verify()/verify_cached().
+  std::size_t crypto_checks = 0;
   for (std::size_t g = 0; g < leaders.size(); ++g) {
     if (verdicts[g] >= 0) continue;
     const VerifyItem& item = items[order[leaders[g]]];
@@ -251,45 +219,24 @@ std::size_t Keystore::verify_batch(std::vector<VerifyItem>& items) const {
       verdicts[g] = 0;
       continue;
     }
-    cacheable[g] = 1;
-    work.push_back({g, &it->second});
-  }
-  misses += work.size();
-  const std::size_t crypto_checks = work.size();
-
-  const auto run_one = [&](std::size_t w) {
-    const CryptoJob& job = work[w];
-    const VerifyItem& item = items[order[leaders[job.group]]];
+    const PrincipalEntry& entry = it->second;
     const Bytes bound = bind_principal(item.principal, item.statement);
     const bool valid =
         scheme_ == SignatureScheme::kHmacSim
-            ? hmac_verify(job.entry->hmac_secret, bound, item.sig)
-            : rsa_verify(job.entry->rsa->pub, *job.entry->rsa_ctx, bound,
-                         item.sig);
-    verdicts[job.group] = valid ? 1 : 0;
-  };
-  if (verify_pool_ != nullptr && work.size() >= 2) {
-    verify_pool_->parallel_for(work.size(), run_one);
-  } else {
-    for (std::size_t w = 0; w < work.size(); ++w) run_one(w);
+            ? hmac_verify(entry.hmac_secret, bound, item.sig)
+            : rsa_verify(entry.rsa->pub, *entry.rsa_ctx, bound, item.sig);
+    verdicts[g] = valid ? 1 : 0;
+    verify_cache_.insert(keys[order[leaders[g]]], valid);
+    ++crypto_checks;
   }
 
-  // Pass 3 (one lock acquisition): memoize fresh verdicts and account.
   // Duplicates beyond each group leader are served from the batch's own
   // resolution, which is a hit for accounting purposes.
-  {
-    std::lock_guard<std::mutex> lock(verify_mu_);
-    for (std::size_t g = 0; g < leaders.size(); ++g) {
-      if (cacheable[g]) {
-        verify_cache_.insert(keys[order[leaders[g]]], verdicts[g] == 1);
-      }
-    }
-    const std::uint64_t dup_hits = items.size() - leaders.size();
-    counters_.inc("sig_cache_hit", hits + dup_hits);
-    counters_.inc("sig_cache_miss", misses);
-    counters_.inc("verify", crypto_checks);
-    counters_.inc("sig_verify_calls", crypto_checks);
-  }
+  const std::uint64_t dup_hits = items.size() - leaders.size();
+  counters_.inc("sig_cache_hit", hits + dup_hits);
+  counters_.inc("sig_cache_miss", crypto_checks);
+  counters_.inc("verify", crypto_checks);
+  counters_.inc("sig_verify_calls", crypto_checks);
 
   // Scatter verdicts back to every item in the group.
   for (std::size_t g = 0; g < leaders.size(); ++g) {
@@ -303,7 +250,6 @@ std::size_t Keystore::verify_batch(std::vector<VerifyItem>& items) const {
 }
 
 void Keystore::set_verify_cache_capacity(std::size_t entries) {
-  std::lock_guard<std::mutex> lock(verify_mu_);
   verify_cache_.set_capacity(entries);
 }
 
@@ -312,7 +258,6 @@ void Keystore::revoke(PrincipalId p) {
   if (it != principals_.end()) it->second.revoked = true;
   // Mandatory cache hygiene: a stopped principal's statements must not
   // keep validating straight from memoization.
-  std::lock_guard<std::mutex> lock(verify_mu_);
   verify_cache_.purge_principal(p);
 }
 

@@ -25,20 +25,11 @@
 // protocol routes all certificate validation through this path. Revoking
 // a principal purges its cache entries, so post-stop checks always
 // re-enter the keystore.
-// Threading contract: registration (register_principal) and scheme setup
-// are single-threaded setup-time operations. After setup, verify /
-// verify_cached / sign are safe to call from multiple threads: the
-// principal table is read-only, and the shared mutable state — the
-// verification cache and the op counters — is guarded by verify_mu_
-// (see BFTBC_GUARDED_BY annotations). The underlying cryptographic check
-// runs outside the lock, so concurrent verifies of distinct statements
-// do not serialize on the RSA/HMAC work.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 
 #include "crypto/rsa.h"
@@ -47,11 +38,8 @@
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/status.h"
-#include "util/thread_annotations.h"
 
 namespace bftbc::crypto {
-
-class VerifyPool;
 
 using PrincipalId = std::uint32_t;
 
@@ -95,6 +83,10 @@ class Keystore {
  public:
   explicit Keystore(SignatureScheme scheme = SignatureScheme::kHmacSim,
                     std::uint64_t seed = 1, std::size_t rsa_bits = 1024);
+  // Signers hold a Keystore*, so a copy would leave them bound to the
+  // original.
+  Keystore(const Keystore&) = delete;
+  Keystore& operator=(const Keystore&) = delete;
 
   SignatureScheme scheme() const { return scheme_; }
 
@@ -135,11 +127,6 @@ class Keystore {
   // Returns the number of real cryptographic checks performed.
   [[nodiscard]] std::size_t verify_batch(std::vector<VerifyItem>& items) const;
 
-  // Optional worker pool for verify_batch's cryptographic pass. The
-  // pool is borrowed, not owned, and must outlive the keystore's last
-  // verification. nullptr (the default) keeps the pass inline.
-  void set_verify_pool(VerifyPool* pool) { verify_pool_ = pool; }
-
   // --- Point-to-point MAC authentication (paper §3.3.2) ---
   //
   // Every pair of principals shares a symmetric session key derived
@@ -161,11 +148,7 @@ class Keystore {
   // Bounds the verification cache; 0 disables memoization (every
   // verify_cached call then performs the real check).
   void set_verify_cache_capacity(std::size_t entries);
-  // Unsynchronized inspection handle — only valid while no other thread
-  // is concurrently verifying (tests / post-run reporting).
-  const VerifyCache& verify_cache() const BFTBC_NO_THREAD_SAFETY_ANALYSIS {
-    return verify_cache_;
-  }
+  const VerifyCache& verify_cache() const { return verify_cache_; }
 
   // The "stop"/administrator action: principal can no longer create new
   // signatures. Existing signatures continue to verify (replay of old
@@ -175,15 +158,9 @@ class Keystore {
   bool is_revoked(PrincipalId p) const;
 
   // Instrumentation: counts of sign/verify operations, for the message
-  // and crypto-cost experiments. Snapshot-style reads: take them after
-  // concurrent verification has quiesced.
-  const Counters& counters() const BFTBC_NO_THREAD_SAFETY_ANALYSIS {
-    return counters_;
-  }
-  void reset_counters() {
-    std::lock_guard<std::mutex> lock(verify_mu_);
-    counters_.reset();
-  }
+  // and crypto-cost experiments.
+  const Counters& counters() const { return counters_; }
+  void reset_counters() { counters_.reset(); }
 
   std::size_t signature_size() const;
 
@@ -212,14 +189,8 @@ class Keystore {
   // the deterministic key generation sequence).
   Bytes p2p_master_;
   std::map<PrincipalId, PrincipalEntry> principals_;
-  VerifyPool* verify_pool_ = nullptr;
-  // Guards the two members every thread mutates on the verify path. The
-  // principal table above is intentionally NOT guarded: it is read-only
-  // after setup (register_principal is setup-time; revoke only flips a
-  // per-entry flag and purges the cache under the lock).
-  mutable std::mutex verify_mu_;
-  mutable Counters counters_ BFTBC_GUARDED_BY(verify_mu_);
-  mutable VerifyCache verify_cache_ BFTBC_GUARDED_BY(verify_mu_);
+  mutable Counters counters_;
+  mutable VerifyCache verify_cache_;
 };
 
 }  // namespace bftbc::crypto

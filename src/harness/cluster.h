@@ -202,7 +202,7 @@ class Cluster {
   // The cluster-wide registry. Replica/client hot paths record latencies
   // and grant totals into it directly; Counters sources (network,
   // replicas, clients, keystores) are folded in by snapshot_metrics().
-  // Each cluster owns its own registry so concurrent experiments in one
+  // Each cluster owns its own registry, so several clusters in one
   // process do not bleed into each other.
   metrics::MetricsRegistry& metrics_registry() { return metrics_; }
   // One ring for the whole fleet: every shard's traffic and client legs.

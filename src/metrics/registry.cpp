@@ -5,7 +5,7 @@
 namespace bftbc::metrics {
 
 template <typename SlotT>
-SlotT& MetricsRegistry::resolve_locked(
+SlotT& MetricsRegistry::resolve(
     std::map<std::string, std::size_t>& index, std::deque<SlotT>& slots,
     std::string_view name) {
   auto it = index.find(std::string(name));
@@ -17,27 +17,22 @@ SlotT& MetricsRegistry::resolve_locked(
 }
 
 Counter& MetricsRegistry::counter(std::string_view name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return resolve_locked(counter_index_, counters_, name);
+  return resolve(counter_index_, counters_, name);
 }
 
 Gauge& MetricsRegistry::gauge(std::string_view name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return resolve_locked(gauge_index_, gauges_, name);
+  return resolve(gauge_index_, gauges_, name);
 }
 
 Summary& MetricsRegistry::summary(std::string_view name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return resolve_locked(summary_index_, summaries_, name);
+  return resolve(summary_index_, summaries_, name);
 }
 
 Histogram& MetricsRegistry::histogram(std::string_view name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return resolve_locked(histogram_index_, histograms_, name);
+  return resolve(histogram_index_, histograms_, name);
 }
 
 std::string MetricsRegistry::claim_unique(std::string_view base) {
-  std::lock_guard<std::mutex> lock(mu_);
   auto taken = [this](const std::string& name) {
     return claims_.count(name) != 0 || counter_index_.count(name) != 0 ||
            gauge_index_.count(name) != 0 || summary_index_.count(name) != 0 ||
@@ -55,36 +50,31 @@ void MetricsRegistry::fold_counters(std::string_view scope,
                                     const Counters& counters) {
   const std::string prefix =
       scope.empty() ? std::string() : std::string(scope) + "/";
-  // One lock for the whole fold: the SETs on the slots happen under mu_,
-  // so concurrent folds into a shared registry are race-free.
-  std::lock_guard<std::mutex> lock(mu_);
   for (const auto& [name, value] : counters.all()) {
-    resolve_locked(counter_index_, counters_, prefix + name).set(value);
+    resolve(counter_index_, counters_, prefix + name).set(value);
   }
 }
 
 void MetricsRegistry::merge(const MetricsRegistry& other) {
-  if (&other == this) return;  // self-merge would double-lock mu_
-  std::scoped_lock lock(mu_, other.mu_);
+  // Self-merge would double every counter and grow each summary while
+  // iterating its own samples.
+  if (&other == this) return;
   for (const auto& [name, slot] : other.counter_index_) {
-    resolve_locked(counter_index_, counters_, name)
-        .inc(other.counters_[slot].value);
+    resolve(counter_index_, counters_, name).inc(other.counters_[slot].value);
   }
   for (const auto& [name, slot] : other.gauge_index_) {
-    resolve_locked(gauge_index_, gauges_, name).set(other.gauges_[slot].value);
+    resolve(gauge_index_, gauges_, name).set(other.gauges_[slot].value);
   }
   for (const auto& [name, slot] : other.summary_index_) {
-    resolve_locked(summary_index_, summaries_, name)
-        .merge(other.summaries_[slot]);
+    resolve(summary_index_, summaries_, name).merge(other.summaries_[slot]);
   }
   for (const auto& [name, slot] : other.histogram_index_) {
-    resolve_locked(histogram_index_, histograms_, name)
+    resolve(histogram_index_, histograms_, name)
         .merge(other.histograms_[slot]);
   }
 }
 
 void MetricsRegistry::write_json(JsonWriter& w) const {
-  std::lock_guard<std::mutex> lock(mu_);
   w.begin_object();
 
   w.key("counters");
@@ -164,7 +154,6 @@ std::string MetricsRegistry::to_json() const {
 }
 
 void MetricsRegistry::reset() {
-  std::lock_guard<std::mutex> lock(mu_);
   counter_index_.clear();
   counters_.clear();
   gauge_index_.clear();
@@ -174,11 +163,6 @@ void MetricsRegistry::reset() {
   histogram_index_.clear();
   histograms_.clear();
   claims_.clear();
-}
-
-MetricsRegistry& MetricsRegistry::global() {
-  static MetricsRegistry instance;
-  return instance;
 }
 
 }  // namespace bftbc::metrics

@@ -1,4 +1,4 @@
-// Process-wide metrics registry: named counters, gauges, and latency
+// Metrics registry: named counters, gauges, and latency
 // summaries/histograms (reusing util/stats accumulators) behind stable
 // handles.
 //
@@ -17,30 +17,16 @@
 // ({counters, gauges, summaries, histograms}); summaries are emitted as
 // {count, mean, p50, p90, p99, min, max, stddev} via Summary::snapshot()
 // so each is sorted exactly once.
-//
-// Threading contract: the registry's *structural* surface — handle
-// resolution (counter/gauge/summary/histogram), fold_counters, merge,
-// write_json/to_json, reset — is guarded by an internal mutex and safe
-// to call from multiple threads (concurrent experiments folding into one
-// shared sink, see tests/threaded_smoke_test.cpp). Hot-path *recording
-// through an already-resolved handle* stays lock-free and is owner-
-// thread-only: each simulator thread records through its own handles,
-// exactly as before. A process-wide instance is available via
-// MetricsRegistry::global() for tools that want a single sink; the
-// harness gives every Cluster its own registry so concurrent experiments
-// in one process do not bleed into each other.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <mutex>
 #include <set>
 #include <string>
 #include <string_view>
 
 #include "util/stats.h"
-#include "util/thread_annotations.h"
 
 namespace bftbc::metrics {
 
@@ -121,38 +107,26 @@ class MetricsRegistry {
   void merge(const MetricsRegistry& other);
 
   // Read-side iteration (sorted by name — deterministic JSON).
-  // Unsynchronized: only valid while no other thread is resolving or
-  // folding (post-run reporting).
-  const std::map<std::string, std::size_t>& counter_names() const
-      BFTBC_NO_THREAD_SAFETY_ANALYSIS {
+  const std::map<std::string, std::size_t>& counter_names() const {
     return counter_index_;
   }
-  const Counter& counter_at(std::size_t slot) const
-      BFTBC_NO_THREAD_SAFETY_ANALYSIS {
+  const Counter& counter_at(std::size_t slot) const {
     return counters_[slot];
   }
-  const std::map<std::string, std::size_t>& gauge_names() const
-      BFTBC_NO_THREAD_SAFETY_ANALYSIS {
+  const std::map<std::string, std::size_t>& gauge_names() const {
     return gauge_index_;
   }
-  const Gauge& gauge_at(std::size_t slot) const
-      BFTBC_NO_THREAD_SAFETY_ANALYSIS {
-    return gauges_[slot];
-  }
-  const std::map<std::string, std::size_t>& summary_names() const
-      BFTBC_NO_THREAD_SAFETY_ANALYSIS {
+  const Gauge& gauge_at(std::size_t slot) const { return gauges_[slot]; }
+  const std::map<std::string, std::size_t>& summary_names() const {
     return summary_index_;
   }
-  const Summary& summary_at(std::size_t slot) const
-      BFTBC_NO_THREAD_SAFETY_ANALYSIS {
+  const Summary& summary_at(std::size_t slot) const {
     return summaries_[slot];
   }
-  const std::map<std::string, std::size_t>& histogram_names() const
-      BFTBC_NO_THREAD_SAFETY_ANALYSIS {
+  const std::map<std::string, std::size_t>& histogram_names() const {
     return histogram_index_;
   }
-  const Histogram& histogram_at(std::size_t slot) const
-      BFTBC_NO_THREAD_SAFETY_ANALYSIS {
+  const Histogram& histogram_at(std::size_t slot) const {
     return histograms_[slot];
   }
 
@@ -165,31 +139,22 @@ class MetricsRegistry {
   // Drops every metric AND invalidates all handles. Only for tests.
   void reset();
 
-  // Shared process-wide instance (tools/examples that want one sink).
-  static MetricsRegistry& global();
-
  private:
   template <typename SlotT>
-  SlotT& resolve_locked(std::map<std::string, std::size_t>& index,
-                        std::deque<SlotT>& slots, std::string_view name)
-      BFTBC_REQUIRES(mu_);
+  static SlotT& resolve(std::map<std::string, std::size_t>& index,
+                        std::deque<SlotT>& slots, std::string_view name);
 
-  // Guards the name→slot indices and the structure of the slot deques.
-  // The deque-backed slots themselves are stable once created; recording
-  // through a resolved handle deliberately bypasses the lock (single
-  // owner thread per handle — see the threading contract above).
-  mutable std::mutex mu_;
-  std::map<std::string, std::size_t> counter_index_ BFTBC_GUARDED_BY(mu_);
-  std::deque<Counter> counters_ BFTBC_GUARDED_BY(mu_);
-  std::map<std::string, std::size_t> gauge_index_ BFTBC_GUARDED_BY(mu_);
-  std::deque<Gauge> gauges_ BFTBC_GUARDED_BY(mu_);
-  std::map<std::string, std::size_t> summary_index_ BFTBC_GUARDED_BY(mu_);
-  std::deque<Summary> summaries_ BFTBC_GUARDED_BY(mu_);
-  std::map<std::string, std::size_t> histogram_index_ BFTBC_GUARDED_BY(mu_);
-  std::deque<Histogram> histograms_ BFTBC_GUARDED_BY(mu_);
+  std::map<std::string, std::size_t> counter_index_;
+  std::deque<Counter> counters_;
+  std::map<std::string, std::size_t> gauge_index_;
+  std::deque<Gauge> gauges_;
+  std::map<std::string, std::size_t> summary_index_;
+  std::deque<Summary> summaries_;
+  std::map<std::string, std::size_t> histogram_index_;
+  std::deque<Histogram> histograms_;
   // Names handed out by claim_unique (they may not have resolved any
   // handle yet, so the indices alone cannot answer "is this taken?").
-  std::set<std::string> claims_ BFTBC_GUARDED_BY(mu_);
+  std::set<std::string> claims_;
 };
 
 }  // namespace bftbc::metrics

@@ -1,12 +1,9 @@
 #include "util/log.h"
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <mutex>
-
-#include "util/thread_annotations.h"
+#include <utility>
 
 namespace bftbc {
 
@@ -23,14 +20,8 @@ LogLevel env_log_level() {
   return LogLevel::kWarn;
 }
 
-// Read on every LOG() call-site from any thread; atomic so a level
-// change never races with the hot-path check.
-std::atomic<LogLevel> g_level{env_log_level()};
-
-std::mutex g_mu;
-// g_mu serializes sink access: the time source swap and the actual
-// emission (so interleaved lines never shear).
-LogTimeSource g_time_source BFTBC_GUARDED_BY(g_mu);
+LogLevel g_level = env_log_level();
+LogTimeSource g_time_source;
 
 const char* level_tag(LogLevel lvl) {
   switch (lvl) {
@@ -45,25 +36,18 @@ const char* level_tag(LogLevel lvl) {
 
 }  // namespace
 
-LogLevel log_level() { return g_level.load(std::memory_order_relaxed); }
-void set_log_level(LogLevel lvl) {
-  g_level.store(lvl, std::memory_order_relaxed);
-}
+LogLevel log_level() { return g_level; }
+void set_log_level(LogLevel lvl) { g_level = lvl; }
 
 void set_log_time_source(LogTimeSource src) {
-  std::lock_guard<std::mutex> lock(g_mu);
   g_time_source = std::move(src);
 }
 
-void clear_log_time_source() {
-  std::lock_guard<std::mutex> lock(g_mu);
-  g_time_source = nullptr;
-}
+void clear_log_time_source() { g_time_source = nullptr; }
 
 namespace detail {
 
 void log_emit(LogLevel lvl, const std::string& msg) {
-  std::lock_guard<std::mutex> lock(g_mu);
   if (g_time_source) {
     const std::uint64_t ns = g_time_source();
     std::fprintf(stderr, "[%s %llu.%06llums] %s\n", level_tag(lvl),

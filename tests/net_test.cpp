@@ -60,7 +60,9 @@ TEST_P(EventLoopTest, TimerIdsAreNonZeroAndNeverReused) {
   for (int i = 0; i < 100; ++i) {
     const sim::TimerId id = loop_.schedule(0, [] {});
     EXPECT_NE(id, 0u);
-    if (!ids.empty()) EXPECT_GT(id, ids.back());  // monotone => never reused
+    if (!ids.empty()) {
+      EXPECT_GT(id, ids.back());  // monotone => never reused
+    }
     // Cancelling and re-scheduling must not recycle the id.
     if (i % 2 == 0) loop_.cancel(id);
     ids.push_back(id);

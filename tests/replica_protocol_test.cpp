@@ -24,7 +24,11 @@ class ReplicaProtocolTest : public ::testing::Test {
         replica_transport_(net_, 0),
         probe_(net_, kProbeNode),
         replica_(config_, 0, keystore_, replica_transport_, sim_,
-                 core::ReplicaOptions{.optimized = true}),
+                 [] {
+                   core::ReplicaOptions o;
+                   o.optimized = true;
+                   return o;
+                 }()),
         client_signer_(
             keystore_.register_principal(quorum::client_principal(kClient))) {
     probe_.set_receiver([this](sim::NodeId, const rpc::Envelope& env) {
@@ -418,7 +422,11 @@ class StrongReplicaTest : public ReplicaProtocolTest {
   StrongReplicaTest()
       : strong_transport_(net_, 50),
         strong_(config_, 0, keystore_, strong_transport_, sim_,
-                core::ReplicaOptions{.strong = true}) {
+                [] {
+                  core::ReplicaOptions o;
+                  o.strong = true;
+                  return o;
+                }()) {
     // The base fixture's replica is at node 0 and already owns that
     // receiver; route strong tests to node 50 instead.
   }

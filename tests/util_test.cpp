@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "util/codec.h"
 #include "util/hex.h"
+#include "util/log.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/status.h"
@@ -398,6 +401,22 @@ TEST(StatsTest, CountersAccumulate) {
   EXPECT_EQ(c.get("missing"), 0u);
   c.reset();
   EXPECT_EQ(c.get("msgs"), 0u);
+}
+
+// ------------------------------------------------------------------ log
+
+TEST(LogTest, LevelGatesLinesAndTimeSourceStampsThem) {
+  const LogLevel prev = log_level();
+  set_log_level(LogLevel::kWarn);
+  testing::internal::CaptureStderr();
+  BFTBC_LOG(kInfo) << "below the level";
+  set_log_time_source([] { return std::uint64_t{1'500'000}; });
+  BFTBC_LOG(kWarn) << "stamped " << 7;
+  clear_log_time_source();
+  BFTBC_LOG(kError) << "unstamped";
+  const std::string out = testing::internal::GetCapturedStderr();
+  set_log_level(prev);
+  EXPECT_EQ(out, "[W 1.500000ms] stamped 7\n[E] unstamped\n");
 }
 
 }  // namespace

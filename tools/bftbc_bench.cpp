@@ -7,8 +7,10 @@
 // standard way to measure a quorum system's per-op latency without
 // open-loop queueing artifacts.
 //
-//   bftbc_bench --config bench/cluster_localhost.json \
-//       --clients 4 --ops 200 --warmup 20 --json BENCH_live.json
+//   bftbc_bench --config bench/cluster_localhost.json --json BENCH_live.json
+//
+// runs 4 clients with 200 measured and 20 warmup ops each (--clients,
+// --ops and --warmup change that).
 //
 // Sharded clusters need no extra flags: every client is a
 // shard::RoutingClient over one protocol leg per replica group listed in

@@ -15,10 +15,9 @@
 // map on exit (reply/drop accounting) for post-run inspection.
 #include <csignal>
 #include <cstdio>
-#include <memory>
+#include <functional>
 
 #include "bftbc/replica.h"
-#include "crypto/verify_pool.h"
 #include "net/cluster_config.h"
 #include "net/event_loop.h"
 #include "net/udp_transport.h"
@@ -46,9 +45,6 @@ int main(int argc, char** argv) {
       "shard", 0, "this replica's shard group (multi-shard configs)");
   auto& force_poll =
       flags.add_bool("force-poll", false, "use poll() even where epoll exists");
-  auto& verify_threads = flags.add_int(
-      "verify-threads", 0,
-      "worker threads for batch signature verification (0 = inline)");
   flags.parse(argc, argv);
 
   if ((*config_path).empty() || *replica_id < 0) {
@@ -82,16 +78,6 @@ int main(int argc, char** argv) {
   crypto::Keystore keystore(cluster.signature_scheme(),
                             cluster.shard_seed(shard), cluster.rsa_bits);
   net::register_cluster_principals(cluster, keystore);
-
-  // Optional verification pool: batch verifies fan out across workers
-  // while the event loop thread blocks for the batch (still one protocol
-  // thread — the pool only parallelizes the crypto inside one batch).
-  std::unique_ptr<crypto::VerifyPool> pool;
-  if (*verify_threads > 0) {
-    pool = std::make_unique<crypto::VerifyPool>(
-        static_cast<std::size_t>(*verify_threads));
-    keystore.set_verify_pool(pool.get());
-  }
 
   net::EventLoop loop(*force_poll);
   auto peers = net::replica_endpoints(cluster, shard);
