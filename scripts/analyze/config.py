@@ -56,7 +56,6 @@ class Config:
         [
             r"Keystore::verify",
             r"Keystore::verify_cached",
-            r"Keystore::verify_batch",
             r"Keystore::mac_check",
             r"Certificate::validate",
             r"PrepareCertificate::validate",

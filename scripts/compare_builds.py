@@ -5,7 +5,10 @@
 
 A refactor must not change what any deterministic surface prints. This
 script runs each surface on both build trees (CMake binary dirs) and
-prints one line per surface: `same`, or the first difference.
+prints, per surface, `same` or what differs. A JSON surface lists every
+differing path, up to 20, then a count of the rest, so an intended
+difference cannot hide a second one; a text surface names its first
+differing line.
 
 Surfaces:
   - explorer sweeps: the two CI smoke commands (uniform, and guided over
@@ -41,42 +44,40 @@ GUIDED_SEEDS = (7, 42)
 # JSON keys left out per bench: wall-clock measurements differ run to run.
 BENCH_IGNORED_KEYS = {"bench_auth_cost": ("gauges",)}
 
+# Differing paths listed per JSON surface; the rest are counted.
+MAX_LISTED = 20
+
 
 def _show(value, limit=60):
     text = json.dumps(value, sort_keys=True)
     return text if len(text) <= limit else text[:limit] + "..."
 
 
-def first_json_difference(old, new, path="$"):
-    """None when the documents are equal, else the first differing path
-    (keys in sorted order, list items in order) with both values."""
+def json_differences(old, new, path="$"):
+    """Yields every differing path (keys in sorted order, list items in
+    order) with both values; nothing when the documents are equal."""
     if isinstance(old, dict) and isinstance(new, dict):
         for key in sorted(set(old) | set(new)):
             where = f"{path}.{key}"
             if key not in new:
-                return f"{where}: only in OLD"
-            if key not in old:
-                return f"{where}: only in NEW"
-            diff = first_json_difference(old[key], new[key], where)
-            if diff is not None:
-                return diff
-        return None
-    if isinstance(old, list) and isinstance(new, list):
+                yield f"{where}: only in OLD"
+            elif key not in old:
+                yield f"{where}: only in NEW"
+            else:
+                yield from json_differences(old[key], new[key], where)
+    elif isinstance(old, list) and isinstance(new, list):
         for i, (a, b) in enumerate(zip(old, new)):
-            diff = first_json_difference(a, b, f"{path}[{i}]")
-            if diff is not None:
-                return diff
+            yield from json_differences(a, b, f"{path}[{i}]")
         if len(old) != len(new):
-            return f"{path}: length {len(old)} != {len(new)}"
-        return None
-    if type(old) is not type(new) or old != new:
-        return f"{path}: {_show(old)} != {_show(new)}"
-    return None
+            yield f"{path}: length {len(old)} != {len(new)}"
+    elif type(old) is not type(new) or old != new:
+        yield f"{path}: {_show(old)} != {_show(new)}"
 
 
 def compare_json_text(old_text, new_text, ignored_keys=()):
     """None when two JSON documents match byte for byte (after dropping
-    `ignored_keys` from the top-level object), else the first difference."""
+    `ignored_keys` from the top-level object). Else the one difference,
+    or a count followed by up to MAX_LISTED differences, one per line."""
     try:
         old = json.loads(old_text)
         new = json.loads(new_text)
@@ -89,10 +90,15 @@ def compare_json_text(old_text, new_text, ignored_keys=()):
             old.pop(key, None)
         if isinstance(new, dict):
             new.pop(key, None)
-    diff = first_json_difference(old, new)
-    if diff is None and not ignored_keys:
-        return "same JSON, different bytes"
-    return diff
+    diffs = list(json_differences(old, new))
+    if not diffs:
+        return None if ignored_keys else "same JSON, different bytes"
+    if len(diffs) == 1:
+        return diffs[0]
+    lines = [f"{len(diffs)} differences"] + diffs[:MAX_LISTED]
+    if len(diffs) > MAX_LISTED:
+        lines.append(f"and {len(diffs) - MAX_LISTED} more")
+    return "\n  ".join(lines)
 
 
 def compare_text(old_text, new_text):

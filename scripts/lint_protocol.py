@@ -10,11 +10,10 @@ generic tool can express:
       Keystore::verify_cached (certificates are transferable proofs whose
       2f+1 signatures are re-checked at every hop — the memo is the whole
       §3.3.2 cost story). Raw Keystore::verify / rsa_verify / hmac_verify
-      calls are allowed only inside src/crypto/ itself. The same applies
-      to the batch path: multi-item verification goes through
-      Keystore::verify_batch; touching VerifyCache (or the keystore's
-      verify_cache() accessor) directly skips the sig_cache_hit/miss
-      counters the perf trajectory tracks.
+      calls are allowed only inside src/crypto/ itself. Touching
+      VerifyCache (or the keystore's verify_cache() accessor) directly
+      is flagged too: it skips the sig_cache_hit/miss counters the perf
+      trajectory tracks.
       Scope: src/ except src/crypto/.
 
   single-thread

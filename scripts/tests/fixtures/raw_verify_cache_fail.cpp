@@ -1,5 +1,5 @@
 // Fixture: batch verification poking VerifyCache directly instead of
-// going through Keystore::verify_batch — must FAIL raw-verify.
+// going through Keystore::verify_cached — must FAIL raw-verify.
 void flush_batch(const Keystore& ks_, std::vector<Item>& items) {
   const VerifyCache& cache = ks_.verify_cache();
   for (auto& it : items) {

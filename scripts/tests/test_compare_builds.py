@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Self-tests for scripts/compare_builds.py's comparison helpers.
 
-Covers the JSON comparison (first differing path, ignored top-level
-keys, byte-level differences), the text comparison, and the directory
-comparison used for saved corpora. Runs under plain unittest (ctest
+Covers the JSON comparison (every differing path, the cap on how many
+are listed, ignored top-level keys, byte-level differences), the text
+comparison, and the directory comparison used for saved corpora. Runs under plain unittest (ctest
 entry `scripts_selftest`) and under pytest unchanged.
 """
 
@@ -30,38 +30,39 @@ def report(**gauges):
     }
 
 
-class FirstJsonDifferenceTest(unittest.TestCase):
-    def test_equal_documents(self):
-        self.assertIsNone(compare_builds.first_json_difference(
-            report(a=1), report(a=1)))
+def differences(old, new):
+    return list(compare_builds.json_differences(old, new))
 
-    def test_names_the_first_differing_path(self):
+
+class JsonDifferencesTest(unittest.TestCase):
+    def test_equal_documents(self):
+        self.assertEqual(differences(report(a=1), report(a=1)), [])
+
+    def test_names_every_differing_path(self):
         old = report()
         new = report()
         new["counters"]["verify"] = 701
         new["summaries"]["client.write.total_ms"]["p50"] = 2.0
-        diff = compare_builds.first_json_difference(old, new)
-        self.assertEqual(diff, "$.counters.verify: 700 != 701")
+        self.assertEqual(differences(old, new), [
+            "$.counters.verify: 700 != 701",
+            "$.summaries.client.write.total_ms.p50: 1.5 != 2.0",
+        ])
 
     def test_missing_keys_and_list_lengths(self):
-        self.assertEqual(
-            compare_builds.first_json_difference({"a": 1}, {"a": 1, "b": 2}),
-            "$.b: only in NEW")
-        self.assertEqual(
-            compare_builds.first_json_difference({"a": 1, "b": 2}, {"a": 1}),
-            "$.b: only in OLD")
-        self.assertEqual(
-            compare_builds.first_json_difference([1, 2], [1, 2, 3]),
-            "$: length 2 != 3")
-        self.assertEqual(
-            compare_builds.first_json_difference({"r": [1, {"x": 0}]},
-                                                 {"r": [1, {"x": 1}]}),
-            "$.r[1].x: 0 != 1")
+        self.assertEqual(differences({"a": 1}, {"a": 1, "b": 2}),
+                         ["$.b: only in NEW"])
+        self.assertEqual(differences({"a": 1, "b": 2}, {"a": 1}),
+                         ["$.b: only in OLD"])
+        self.assertEqual(differences([1, 2], [1, 2, 3]),
+                         ["$: length 2 != 3"])
+        self.assertEqual(differences({"r": [1, {"x": 0}]},
+                                     {"r": [1, {"x": 1}]}),
+                         ["$.r[1].x: 0 != 1"])
 
     def test_type_change_is_a_difference(self):
         # 1 == 1.0 and 1 == True in Python; the reports must not say so.
-        self.assertIsNotNone(compare_builds.first_json_difference(1, 1.0))
-        self.assertIsNotNone(compare_builds.first_json_difference(1, True))
+        self.assertNotEqual(differences(1, 1.0), [])
+        self.assertNotEqual(differences(1, True), [])
 
 
 class CompareJsonTextTest(unittest.TestCase):
@@ -91,6 +92,28 @@ class CompareJsonTextTest(unittest.TestCase):
             compare_builds.compare_json_text(json.dumps(doc),
                                              json.dumps(doc, indent=2)),
             "same JSON, different bytes")
+
+    def test_lists_every_difference_up_to_the_cap(self):
+        old = report()
+        new = report()
+        new["counters"]["sign"] = 421
+        new["counters"]["verify"] = 701
+        self.assertEqual(
+            compare_builds.compare_json_text(json.dumps(old), json.dumps(new)),
+            "2 differences\n"
+            "  $.counters.sign: 420 != 421\n"
+            "  $.counters.verify: 700 != 701")
+
+        cap = compare_builds.MAX_LISTED
+        many_old = {f"k{i:02d}": 0 for i in range(cap + 5)}
+        many_new = {f"k{i:02d}": 1 for i in range(cap + 5)}
+        lines = compare_builds.compare_json_text(
+            json.dumps(many_old), json.dumps(many_new)).split("\n")
+        self.assertEqual(lines[0], f"{cap + 5} differences")
+        self.assertEqual(lines[1], "  $.k00: 0 != 1")
+        self.assertEqual(lines[cap], f"  $.k{cap - 1:02d}: 0 != 1")
+        self.assertEqual(lines[-1], "  and 5 more")
+        self.assertEqual(len(lines), cap + 2)
 
     def test_unparseable_report(self):
         diff = compare_builds.compare_json_text("{", "{}")

@@ -59,16 +59,6 @@ void Replica::flush_batch() {
   metrics_.inc("batch_flushes");
   metrics_.inc("batch_verify_msgs", batch.size());
 
-  // Pre-verification: one sorted, cache-aware keystore pass over every
-  // signature the batch will need. The handlers below still route their
-  // checks through verify_cached and now hit the warmed cache — the
-  // accept/reject decisions are bit-identical to per-message processing.
-  std::vector<crypto::Keystore::VerifyItem> items;
-  for (const PendingEnvelope& p : batch) collect_verify_items(p.env, items);
-  if (!items.empty()) {
-    metrics_.inc("batch_verify_sigs", keystore_.verify_batch(items));
-  }
-
   // Reply-signing amortization: when one node contributed two or more
   // point-to-point-authenticated requests to this batch, the replies to
   // it are captured and shipped as a single ReplyBatch under one
@@ -140,77 +130,6 @@ void Replica::flush_replies() {
       sim_.schedule(delay,
                     [this, to, env = std::move(env)] { transport_.send(to, env); });
     }
-  }
-}
-
-void Replica::collect_verify_items(
-    const rpc::Envelope& env,
-    std::vector<crypto::Keystore::VerifyItem>& items) const {
-  auto add = [&items](crypto::PrincipalId principal, Bytes stmt, Bytes sig) {
-    crypto::Keystore::VerifyItem item;
-    item.principal = principal;
-    item.statement = std::move(stmt);
-    item.sig = std::move(sig);
-    items.push_back(std::move(item));
-  };
-  auto add_client_sig = [&](quorum::ClientId client, Bytes payload,
-                            const Bytes& sig) {
-    // MAC authenticators are checked inline by verify_client_sig (a
-    // cheap HMAC slice, nothing to pre-warm or cache).
-    if (options_.mac_auth) return;
-    if (quorum::is_replica_principal(client)) return;
-    add(quorum::client_principal(client), std::move(payload), sig);
-  };
-  auto add_prep_cert = [&](const PrepareCertificate& cert) {
-    if (cert.is_genesis()) return;
-    const Bytes stmt =
-        quorum::prepare_reply_statement(cert.object(), cert.ts(), cert.hash());
-    for (const auto& [replica, sig] : cert.signatures()) {
-      if (!config_.valid_replica(replica)) continue;
-      add(quorum::replica_principal(replica), stmt, sig);
-    }
-  };
-  auto add_write_cert = [&](const WriteCertificate& cert) {
-    const Bytes stmt = quorum::write_reply_statement(cert.object(), cert.ts());
-    for (const auto& [replica, sig] : cert.signatures()) {
-      if (!config_.valid_replica(replica)) continue;
-      add(quorum::replica_principal(replica), stmt, sig);
-    }
-  };
-
-  switch (env.type) {
-    case rpc::MsgType::kPrepare: {
-      auto req = PrepareRequest::decode(env.body);
-      if (!req.has_value()) return;
-      add_client_sig(req->client, req->signing_payload(), req->sig);
-      add_prep_cert(req->prep_cert);
-      if (req->write_cert.has_value()) add_write_cert(*req->write_cert);
-      break;
-    }
-    case rpc::MsgType::kWrite: {
-      auto req = WriteRequest::decode(env.body);
-      if (!req.has_value()) return;
-      add_client_sig(req->client, req->signing_payload(), req->sig);
-      add_prep_cert(req->prep_cert);
-      break;
-    }
-    case rpc::MsgType::kRead: {
-      auto req = ReadRequest::decode(env.body);
-      if (!req.has_value()) return;
-      if (req->write_cert.has_value()) add_write_cert(*req->write_cert);
-      break;
-    }
-    case rpc::MsgType::kReadTsPrep: {
-      if (!options_.optimized) return;
-      auto req = ReadTsPrepRequest::decode(env.body);
-      if (!req.has_value()) return;
-      add_client_sig(req->client, req->signing_payload(), req->sig);
-      if (req->write_cert.has_value()) add_write_cert(*req->write_cert);
-      break;
-    }
-    default:
-      // READ-TS and unknown types verify nothing up front.
-      break;
   }
 }
 
@@ -379,8 +298,8 @@ sim::Time Replica::charge_processing(sim::Time cost) {
 
 void Replica::reply(sim::NodeId to, rpc::MsgType type, std::uint64_t rpc_id,
                     Bytes body, sim::Time processing_cost) {
-  // Replies emitted while dispatching a multi-message batch shared one
-  // verification pass; "batched_replies" measures that amortization.
+  // Replies emitted while dispatching a multi-message batch;
+  // "batched_replies" counts them.
   if (current_batch_size_ >= 2) metrics_.inc("batched_replies");
   rpc::Envelope env;
   env.type = type;

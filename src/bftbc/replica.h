@@ -134,7 +134,9 @@ class Replica {
   // Counters: replies/drops per message kind, signature accounting
   // ("sig_foreground", "sig_background", "auth_p2p", "verify_*"), drop
   // reasons ("drop_bad_auth", "drop_bad_cert", "drop_bad_ts",
-  // "drop_plist_conflict", ...).
+  // "drop_plist_conflict", ...), and same-tick batching ("batch_flushes";
+  // "batch_verify_msgs", the messages those flushes held;
+  // "batched_replies", "reply_batches", "auth_p2p_amortized").
   const Counters& metrics() const { return metrics_; }
 
   // Access control list (only consulted when options.enforce_acl). The
@@ -150,23 +152,17 @@ class Replica {
 
  protected:
   // Transport entry point: enqueues into the current tick's batch. Every
-  // message delivered at one virtual-time instant joins one batch, so its
-  // signature checks share a single sorted, cache-aware verify_batch
-  // pass; verdicts equal per-message processing (handlers re-check via
-  // the warmed cache), and the flush is keyed to sim time, so the crypto
-  // schedule stays deterministic.
+  // message delivered at one virtual-time instant joins one batch, so
+  // replies to one node can share one authenticator (flush_replies); the
+  // flush is keyed to sim time, so runs stay deterministic.
   void deliver(sim::NodeId from, const rpc::Envelope& env);
 
-  // Drains the tick's batch: one verify_batch pass over every signature
-  // the batch needs, then per-message dispatch through on_envelope (so
-  // Byzantine subclass interceptors still see every message).
+  // Drains the tick's batch: counts the requests per node that carry a
+  // point-to-point authenticator, then dispatches each message through
+  // on_envelope (so Byzantine subclass interceptors still see every
+  // message). Each handler verifies the signatures it uses, once, in
+  // Figure 2's order, and discards the request at the first failure.
   void flush_batch();
-
-  // Collects the signature checks `env` will perform into `items`
-  // (client signature + certificate signatures, by message type).
-  void collect_verify_items(
-      const rpc::Envelope& env,
-      std::vector<crypto::Keystore::VerifyItem>& items) const;
 
   // True while the current flush amortizes point-to-point reply
   // authentication toward `to`: at least two auth-bearing requests from
@@ -178,7 +174,7 @@ class Replica {
   // Sends the replies captured during batch dispatch: one authenticated
   // ReplyBatch per destination, scheduled at the group's largest
   // per-reply processing cost (replies of one batch are produced by the
-  // same verification pass, so they leave together).
+  // same flush, so they leave together).
   void flush_replies();
 
   // Virtual so Byzantine replica behaviors (src/faults) can intercept.

@@ -1,7 +1,6 @@
 #include "crypto/signature.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "crypto/hmac.h"
 #include "util/codec.h"
@@ -162,91 +161,6 @@ bool Keystore::verify_cached(PrincipalId signer, BytesView msg,
   const bool valid = verify(signer, msg, sig);
   verify_cache_.insert(key, valid);
   return valid;
-}
-
-std::size_t Keystore::verify_batch(std::vector<VerifyItem>& items) const {
-  if (items.empty()) return 0;
-
-  // Hash every key, then order item indices so that identical
-  // (principal, statement, signature) triples sit adjacent: each
-  // distinct triple costs one cache lookup and at most one real
-  // cryptographic check, no matter how often the batch repeats it.
-  std::vector<VerifyCache::Key> keys;
-  keys.reserve(items.size());
-  for (const VerifyItem& item : items) {
-    keys.push_back(
-        VerifyCache::make_key(item.principal, item.statement, item.sig));
-  }
-  std::vector<std::size_t> order(items.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(),
-            [&keys](std::size_t a, std::size_t b) {
-              if (keys[a].principal != keys[b].principal)
-                return keys[a].principal < keys[b].principal;
-              return keys[a].digest < keys[b].digest;
-            });
-
-  // Group leaders: the first index of every run of identical keys.
-  std::vector<std::size_t> leaders;
-  leaders.reserve(order.size());
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    if (i == 0 || !(keys[order[i]] == keys[order[i - 1]])) {
-      leaders.push_back(i);
-    }
-  }
-
-  // Pass 1: resolve every distinct triple against the cache; -1 marks a
-  // miss. Every lookup runs before the first insert of pass 2: an insert
-  // into a full cache can evict an entry that a later lookup in this
-  // batch would have hit, so interleaving them would change the
-  // sig_cache_* counts.
-  std::vector<int> verdicts(leaders.size(), -1);
-  std::uint64_t hits = 0;
-  for (std::size_t g = 0; g < leaders.size(); ++g) {
-    verdicts[g] = verify_cache_.lookup(keys[order[leaders[g]]]);
-    if (verdicts[g] >= 0) ++hits;
-  }
-
-  // Pass 2: real cryptography for the misses, memoizing each fresh
-  // verdict. Unknown principals are rejected without caching or
-  // counting, exactly like verify()/verify_cached().
-  std::size_t crypto_checks = 0;
-  for (std::size_t g = 0; g < leaders.size(); ++g) {
-    if (verdicts[g] >= 0) continue;
-    const VerifyItem& item = items[order[leaders[g]]];
-    auto it = principals_.find(item.principal);
-    if (it == principals_.end()) {
-      verdicts[g] = 0;
-      continue;
-    }
-    const PrincipalEntry& entry = it->second;
-    const Bytes bound = bind_principal(item.principal, item.statement);
-    const bool valid =
-        scheme_ == SignatureScheme::kHmacSim
-            ? hmac_verify(entry.hmac_secret, bound, item.sig)
-            : rsa_verify(entry.rsa->pub, *entry.rsa_ctx, bound, item.sig);
-    verdicts[g] = valid ? 1 : 0;
-    verify_cache_.insert(keys[order[leaders[g]]], valid);
-    ++crypto_checks;
-  }
-
-  // Duplicates beyond each group leader are served from the batch's own
-  // resolution, which is a hit for accounting purposes.
-  const std::uint64_t dup_hits = items.size() - leaders.size();
-  counters_.inc("sig_cache_hit", hits + dup_hits);
-  counters_.inc("sig_cache_miss", crypto_checks);
-  counters_.inc("verify", crypto_checks);
-  counters_.inc("sig_verify_calls", crypto_checks);
-
-  // Scatter verdicts back to every item in the group.
-  for (std::size_t g = 0; g < leaders.size(); ++g) {
-    const std::size_t end =
-        g + 1 < leaders.size() ? leaders[g + 1] : order.size();
-    for (std::size_t i = leaders[g]; i < end; ++i) {
-      items[order[i]].valid = verdicts[g] == 1;
-    }
-  }
-  return crypto_checks;
 }
 
 void Keystore::set_verify_cache_capacity(std::size_t entries) {

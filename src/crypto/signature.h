@@ -110,23 +110,6 @@ class Keystore {
   [[nodiscard]] bool verify_cached(PrincipalId signer, BytesView msg,
                                    BytesView sig) const;
 
-  // One signature check inside a batch; `valid` is the output slot.
-  struct VerifyItem {
-    PrincipalId principal = 0;
-    Bytes statement;
-    Bytes sig;
-    bool valid = false;
-  };
-
-  // Batched memoized verification: resolves every item's verdict with
-  // one cache pass. Items are grouped by (principal, statement,
-  // signature) so each distinct triple costs one lookup and at most one
-  // real cryptographic check regardless of how often the batch repeats
-  // it; duplicates and cache hits count as "sig_cache_hit", distinct
-  // misses as "sig_cache_miss" (semantics match per-item verify_cached).
-  // Returns the number of real cryptographic checks performed.
-  [[nodiscard]] std::size_t verify_batch(std::vector<VerifyItem>& items) const;
-
   // --- Point-to-point MAC authentication (paper §3.3.2) ---
   //
   // Every pair of principals shares a symmetric session key derived

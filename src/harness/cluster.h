@@ -134,10 +134,10 @@ struct ClusterOptions {
   std::size_t trace_capacity = metrics::Tracer::kDefaultCapacity;
   // Same-tick send coalescing on every node's transport: envelopes bound
   // for one destination within a virtual-time instant travel as a single
-  // wire message, feeding the replicas' same-tick batch verification
-  // real multi-message batches (and the reply-signing amortization that
-  // rides on them). Off by default: message-level tests count wire
-  // traffic one envelope at a time.
+  // wire message, feeding the replicas' same-tick batches real
+  // multi-message batches (and the reply-signing amortization that rides
+  // on them). Off by default: message-level tests count wire traffic one
+  // envelope at a time.
   bool coalesce_sends = false;
 };
 

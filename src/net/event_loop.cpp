@@ -168,7 +168,7 @@ void EventLoop::unwatch_fd(int fd) {
 std::size_t EventLoop::poll_once(sim::Time max_wait) {
   // fds first, then timers: datagrams drained in this wakeup are
   // processed before the delay-0 timers they scheduled, preserving the
-  // simulator's same-instant ordering for coalescing and batch verify.
+  // simulator's same-instant ordering for coalescing and replica batches.
   const std::size_t fds = wait_and_dispatch_fds(max_wait);
   return fds + fire_due_timers();
 }

@@ -16,8 +16,8 @@
 // tie-break. Zero-delay timers scheduled while draining sockets fire in
 // the same loop iteration, after the fd handlers — this is what keeps
 // SimTransport-style same-instant coalescing and the replicas' same-tick
-// batch verification working unchanged over UDP: every datagram drained
-// in one wakeup lands before the delay-0 flush/verify timers run.
+// batches working unchanged over UDP: every datagram drained in one
+// wakeup lands before the delay-0 flush timers run.
 //
 // Single-threaded by design, like the simulator: all calls (including
 // schedule/cancel) must come from the loop thread or before run().

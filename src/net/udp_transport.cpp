@@ -110,10 +110,6 @@ const sockaddr_in* UdpTransport::addr_for(sim::NodeId to) {
 }
 
 void UdpTransport::send(sim::NodeId to, const rpc::Envelope& env) {
-  if (!options_.coalesce) {
-    send_now(to, env);
-    return;
-  }
   pending_[to].push_back(env);
   if (!flush_scheduled_) {
     flush_scheduled_ = true;
@@ -199,7 +195,7 @@ void UdpTransport::flush_sends() {
 void UdpTransport::on_readable() {
   // Drain everything the kernel buffered for this wakeup; the EventLoop
   // fires delay-0 timers only after the drain, so all these deliveries
-  // share one "instant" (feeding replica same-tick batch verification).
+  // share one "instant" (feeding the replicas' same-tick batches).
   std::uint8_t buf[64 * 1024];
   while (fd_ >= 0) {
     sockaddr_in src{};

@@ -53,9 +53,8 @@ struct UdpEndpoint {
 };
 
 struct UdpTransportOptions {
-  // Same-instant send coalescing (kBatch), mirroring SimTransport.
-  bool coalesce = true;
-  // Flush batches early rather than exceed this datagram size; a single
+  // Same-instant sends always coalesce into kBatch datagrams. A batch
+  // flushes early rather than exceed this datagram size; a single
   // envelope larger than the cap is sent alone and may fail (counted as
   // a drop) — the protocol's retransmit machinery owns recovery.
   std::size_t max_datagram = 60 * 1024;

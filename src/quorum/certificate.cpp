@@ -43,37 +43,15 @@ Status validate_signature_quorum(const SignatureSet& signatures,
   // skipped, never fatal; rejecting outright would let one poisoned
   // entry invalidate an otherwise-valid certificate.
   //
-  // The checks go through Keystore::verify_batch in quorum-sized
-  // chunks: each chunk holds exactly the signatures still needed to
-  // reach q, so the early-exit property holds — a certificate carrying
-  // n signatures costs q checks when the first q verify, exactly like
-  // the old one-at-a-time loop (pinned by CertificateCacheTest.
-  // EarlyExitStopsAtQuorum) — while the chunk itself shares one cache
-  // pass and, with a worker pool attached to the keystore, fans the
-  // uncached public-key checks out across workers instead of running
-  // them back to back (bench_auth_cost measures the amortization).
-  // Verdicts match the per-item verify_cached path bit for bit.
+  // The scan stops once q signatures verify, so a certificate carrying
+  // n signatures costs q checks when the first q are valid (pinned by
+  // CertificateCacheTest.EarlyExitStopsAtQuorum).
   std::uint32_t valid = 0;
-  auto it = signatures.begin();
-  std::vector<crypto::Keystore::VerifyItem> chunk;
-  while (valid < config.q) {
-    chunk.clear();
-    const std::size_t need = config.q - valid;
-    while (chunk.size() < need && it != signatures.end()) {
-      const auto& [replica, sig] = *it;
-      ++it;
-      if (!config.valid_replica(replica)) continue;
-      crypto::Keystore::VerifyItem item;
-      item.principal = replica_principal(replica);
-      item.statement.assign(statement.begin(), statement.end());
-      item.sig = sig;
-      chunk.push_back(std::move(item));
-    }
-    if (chunk.empty()) break;  // candidates exhausted below quorum
-    // Real-check count is already tallied by the keystore's counters.
-    (void)keystore.verify_batch(chunk);
-    for (const crypto::Keystore::VerifyItem& item : chunk) {
-      if (item.valid) ++valid;
+  for (const auto& [replica, sig] : signatures) {
+    if (valid == config.q) break;
+    if (config.valid_replica(replica) &&
+        keystore.verify_cached(replica_principal(replica), statement, sig)) {
+      ++valid;
     }
   }
   if (valid < config.q)

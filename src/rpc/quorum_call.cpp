@@ -70,16 +70,9 @@ bool QuorumCall::on_reply(sim::NodeId from, const Envelope& env) {
   if (env.rpc_id != request_.rpc_id) return false;
   auto it = index_of_.find(from);
   if (it == index_of_.end()) return false;
-  // The envelope is ours even if we end up rejecting its contents.
-  if (complete_ || timed_out_) {
-    // A reply straggling in after the deadline is still protocol signal
-    // (the replica is alive and answered); surface it instead of
-    // swallowing it so fallback paths can react.
-    if (timed_out_ && !accepted_[it->second] && on_late_reply_) {
-      on_late_reply_(it->second, env);
-    }
-    return true;
-  }
+  // The envelope is ours even if we end up rejecting its contents; a
+  // finished call (complete or timed out) claims it and does nothing.
+  if (complete_ || timed_out_) return true;
   const std::uint32_t idx = it->second;
   if (accepted_[idx]) return true;  // duplicate from this replica
   if (!validator_(idx, env)) return true;

@@ -56,17 +56,6 @@ class QuorumCall {
   // to this call (matching rpc id and a known sender node).
   bool on_reply(sim::NodeId from, const Envelope& env);
 
-  // Fallback signal for replies that arrive after the deadline fired
-  // (matching rpc id, known sender, not yet accepted). The call itself
-  // stays timed out — it never completes late — but a caller can use the
-  // signal to write back, update failure detectors, or re-issue the
-  // operation against fresher state.
-  using LateReplyHandler =
-      std::function<void(std::uint32_t replica_index, const Envelope& reply)>;
-  void set_late_reply_handler(LateReplyHandler handler) {
-    on_late_reply_ = std::move(handler);
-  }
-
   bool complete() const { return complete_; }
   std::uint64_t rpc_id() const { return request_.rpc_id; }
   std::uint32_t accepted_count() const { return accepted_count_; }
@@ -96,7 +85,6 @@ class QuorumCall {
   Validator validator_;
   Completion on_complete_;
   std::function<void()> on_timeout_;
-  LateReplyHandler on_late_reply_;
   Options options_;
 
   std::vector<bool> accepted_;

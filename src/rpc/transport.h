@@ -38,7 +38,7 @@ class Transport {
 // in a deployment). The receiving transport unbundles transparently, so
 // protocol code sees the same per-envelope delivery either way — but the
 // sub-envelopes now arrive at the same tick, which is what feeds the
-// replica's same-tick batch verification real multi-message batches.
+// replica's same-tick batches real multi-message batches.
 class SimTransport final : public Transport {
  public:
   SimTransport(sim::Network& network, sim::NodeId id,

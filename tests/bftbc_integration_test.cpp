@@ -3,6 +3,8 @@
 // base/optimized/strong mode matrix.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
 #include <type_traits>
 
 #include "harness/cluster.h"
@@ -14,17 +16,24 @@ using harness::Cluster;
 using harness::ClusterOptions;
 
 // gtest names each instance in ctest with a byte dump of its ModeParam, so
-// the struct has no padding: the bytes between `strong` and `name` are an
-// explicit zeroed member rather than whatever the stack held, and they read
-// the same on every run.
+// every byte of the struct is fixed: no padding (the bytes between `strong`
+// and `tag` are an explicit zeroed member) and no pointer, whose bytes ASLR
+// would change at every test discovery. `tag` is a constant per mode; its
+// values are the low bytes the mode-name pointer this struct used to hold
+// had in the default build, so the instance names read as they always have.
 struct ModeParam {
-  ModeParam(bool o, bool s, const char* n) : optimized(o), strong(s), name(n) {}
+  ModeParam(bool o, bool s, std::uint64_t t) : optimized(o), strong(s), tag(t) {}
   bool optimized;
   bool strong;
   char zero[6] = {};
-  const char* name;
+  std::uint64_t tag;
 };
 static_assert(std::has_unique_object_representations_v<ModeParam>);
+
+std::string mode_name(const ModeParam& p) {
+  if (p.strong) return p.optimized ? "strong_optimized" : "strong";
+  return p.optimized ? "optimized" : "base";
+}
 
 class BftBcModeTest : public ::testing::TestWithParam<ModeParam> {
  protected:
@@ -196,11 +205,11 @@ TEST_P(BftBcModeTest, ReadAfterPartialWriteBackfills) {
 
 INSTANTIATE_TEST_SUITE_P(
     Modes, BftBcModeTest,
-    ::testing::Values(ModeParam{false, false, "base"},
-                      ModeParam{true, false, "optimized"},
-                      ModeParam{false, true, "strong"},
-                      ModeParam{true, true, "strong_optimized"}),
-    [](const auto& info) { return std::string(info.param.name); });
+    ::testing::Values(ModeParam{false, false, 0x04},
+                      ModeParam{true, false, 0x17},
+                      ModeParam{false, true, 0x09},
+                      ModeParam{true, true, 0x10}),
+    [](const auto& info) { return mode_name(info.param); });
 
 // ---------------------------------------------------------------- phases
 

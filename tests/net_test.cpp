@@ -220,21 +220,6 @@ TEST_F(UdpTransportTest, CoalescesSameInstantSendsIntoOneDatagram) {
   EXPECT_EQ(got[2].rpc_id, 3u);
 }
 
-TEST_F(UdpTransportTest, CoalescingDisabledSendsEachEnvelopeAlone) {
-  auto receiver = make_node(2);
-  UdpTransportOptions opts;
-  opts.coalesce = false;
-  UdpTransport sender(loop_, 1, loopback(), peer(2, *receiver), opts);
-  int delivered = 0;
-  receiver->set_receiver(
-      [&](sim::NodeId, const rpc::Envelope&) { ++delivered; });
-
-  sender.send(2, envelope(1, "a"));
-  sender.send(2, envelope(2, "b"));
-  ASSERT_TRUE(loop_.run_until([&] { return delivered == 2; }, kWait));
-  EXPECT_EQ(sender.counters().get("msgs_sent"), 2u);
-}
-
 TEST_F(UdpTransportTest, OversizeBatchSplitsAtDatagramCap) {
   auto receiver = make_node(2);
   UdpTransportOptions opts;

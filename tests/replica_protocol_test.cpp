@@ -167,6 +167,36 @@ TEST_F(ReplicaProtocolTest, PrepareSignedByOtherClientDropped) {
   EXPECT_EQ(replica_.metrics().get("drop_bad_auth"), 1u);
 }
 
+TEST_F(ReplicaProtocolTest, ValidPrepareLooksUpEachSignatureOnce) {
+  const crypto::Digest h1 = crypto::sha256(as_bytes_view("v1"));
+  const crypto::Digest h2 = crypto::sha256(as_bytes_view("v2"));
+  const PrepareRequest req =
+      make_prepare({2, kClient}, h2, mint_prep_cert({1, kClient}, h1));
+  keystore_.reset_counters();
+  send(rpc::MsgType::kPrepare, req.encode());
+  ASSERT_EQ(replies_.size(), 1u);
+  // The client signature and the certificate's q signatures, each looked
+  // up once, by the handler that uses its verdict.
+  const Counters& ks = keystore_.counters();
+  EXPECT_EQ(ks.get("sig_cache_hit") + ks.get("sig_cache_miss"),
+            1u + config_.q);
+}
+
+TEST_F(ReplicaProtocolTest, PrepareWithBadClientSigSkipsCertificate) {
+  const crypto::Digest h1 = crypto::sha256(as_bytes_view("v1"));
+  const crypto::Digest h2 = crypto::sha256(as_bytes_view("v2"));
+  PrepareRequest req =
+      make_prepare({2, kClient}, h2, mint_prep_cert({1, kClient}, h1));
+  req.sig[0] ^= 0x01;
+  keystore_.reset_counters();
+  send(rpc::MsgType::kPrepare, req.encode());
+  EXPECT_TRUE(replies_.empty());
+  EXPECT_EQ(replica_.metrics().get("drop_bad_auth"), 1u);
+  // Figure 2 discards the request at its first failed check: the valid
+  // certificate's q signatures are never verified.
+  EXPECT_EQ(keystore_.counters().get("verify"), 1u);
+}
+
 TEST_F(ReplicaProtocolTest, PrepareWithNonSuccessorTimestampDropped) {
   const crypto::Digest h = crypto::sha256(as_bytes_view("v"));
   // Jump of 2 beyond the genesis certificate.

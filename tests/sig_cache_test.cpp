@@ -1,8 +1,7 @@
 // Signature-verification cache: LRU mechanics, memoized keystore
-// verification (per item and batched), certificate-validation
-// integration, and the mandatory invalidation of a principal's entries
-// when its key is revoked (the paper's "stop" event, reached through
-// Recorder::stop_client).
+// verification, certificate-validation integration, and the mandatory
+// invalidation of a principal's entries when its key is revoked (the
+// paper's "stop" event, reached through Recorder::stop_client).
 #include <gtest/gtest.h>
 
 #include <string>
@@ -178,111 +177,6 @@ TEST_P(KeystoreCacheTest, RevocationPurgesPrincipalEntries) {
   EXPECT_EQ(ks_.counters().get("sig_cache_miss"), 1u);
   EXPECT_EQ(ks_.counters().get("sig_cache_hit"), 0u);
   EXPECT_EQ(ks_.counters().get("sig_verify_calls"), 1u);
-}
-
-// ------------------------------------------------- keystore batch path
-
-// Six statements over principals 1-3, two of them repeated (one twice),
-// then a corrupted copy of one signature and one signature claimed by an
-// unregistered principal. Signs with (and registers in) `ks`.
-std::vector<Keystore::VerifyItem> poisoned_batch(Keystore& ks) {
-  std::vector<Keystore::VerifyItem> items;
-  for (int i = 0; i < 6; ++i) {
-    Keystore::VerifyItem item;
-    item.principal = static_cast<crypto::PrincipalId>(1 + i % 3);
-    item.statement = to_bytes("batch-stmt-" + std::to_string(i));
-    item.sig = ks.register_principal(item.principal)
-                   .sign(item.statement)
-                   .value();
-    items.push_back(std::move(item));
-  }
-  items.push_back(items[0]);
-  items.push_back(items[2]);
-  items.push_back(items[0]);
-  Keystore::VerifyItem corrupt = items[4];
-  corrupt.sig[0] ^= 0x40;
-  items.push_back(std::move(corrupt));
-  Keystore::VerifyItem unknown = items[1];
-  unknown.principal = 0xdead;
-  items.push_back(std::move(unknown));
-  return items;
-}
-
-TEST_P(KeystoreCacheTest, BatchMatchesPerItemVerifyCached) {
-  std::vector<Keystore::VerifyItem> batch = poisoned_batch(ks_);
-  // Same seed and registration order: the same keys.
-  Keystore per_item{GetParam(), /*seed=*/11, /*rsa_bits=*/512};
-  for (crypto::PrincipalId p = 1; p <= 3; ++p) per_item.register_principal(p);
-  ks_.reset_counters();
-
-  const std::size_t checks = ks_.verify_batch(batch);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_EQ(batch[i].valid,
-              per_item.verify_cached(batch[i].principal, batch[i].statement,
-                                     batch[i].sig))
-        << i;
-  }
-  for (const char* name : {"sig_cache_hit", "sig_cache_miss", "verify"}) {
-    EXPECT_EQ(ks_.counters().get(name), per_item.counters().get(name))
-        << name;
-  }
-  // Six distinct good triples plus the corrupted one; the unknown
-  // principal is rejected without a check.
-  EXPECT_EQ(checks, 7u);
-  EXPECT_EQ(ks_.counters().get("verify"), checks);
-  EXPECT_TRUE(batch[0].valid);
-  EXPECT_TRUE(batch[8].valid);
-  EXPECT_FALSE(batch[9].valid);
-  EXPECT_FALSE(batch[10].valid);
-}
-
-TEST_P(KeystoreCacheTest, BatchRerunCostsNoCrypto) {
-  std::vector<Keystore::VerifyItem> batch = poisoned_batch(ks_);
-  ASSERT_EQ(ks_.verify_batch(batch), 7u);
-
-  // Every verdict, negative ones included, is now memoized.
-  std::vector<Keystore::VerifyItem> again = batch;
-  for (Keystore::VerifyItem& item : again) item.valid = !item.valid;
-  EXPECT_EQ(ks_.verify_batch(again), 0u);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_EQ(again[i].valid, batch[i].valid) << i;
-  }
-}
-
-TEST_P(KeystoreCacheTest, FullCacheCountsEveryEntryCachedAtStartAsHit) {
-  // The batch sorts by principal first, so the four fresh triples sort
-  // either before or after the four cached ones. Either way all cached
-  // triples are looked up before the first fresh verdict is inserted;
-  // an insert into the full cache evicts an entry, so inserting earlier
-  // would turn cached triples into misses.
-  constexpr std::size_t kCapacity = 4;
-  using Principals = std::pair<crypto::PrincipalId, crypto::PrincipalId>;
-  for (const auto& [cached_p, fresh_p] : {Principals{9, 1}, Principals{1, 9}}) {
-    SCOPED_TRACE("cached principal " + std::to_string(cached_p));
-    Keystore ks{GetParam(), /*seed=*/11, /*rsa_bits=*/512};
-    ks.set_verify_cache_capacity(kCapacity);
-    std::vector<Keystore::VerifyItem> batch;
-    for (const crypto::PrincipalId p : {cached_p, fresh_p}) {
-      const crypto::Signer signer = ks.register_principal(p);
-      for (std::size_t i = 0; i < kCapacity; ++i) {
-        Keystore::VerifyItem item;
-        item.principal = p;
-        item.statement = to_bytes("stmt-" + std::to_string(i));
-        item.sig = signer.sign(item.statement).value();
-        if (p == cached_p) {
-          EXPECT_TRUE(ks.verify_cached(p, item.statement, item.sig));
-        }
-        batch.push_back(std::move(item));
-      }
-    }
-    ASSERT_EQ(ks.verify_cache().size(), kCapacity);
-    ks.reset_counters();
-
-    EXPECT_EQ(ks.verify_batch(batch), kCapacity);
-    EXPECT_EQ(ks.counters().get("sig_cache_hit"), kCapacity);
-    EXPECT_EQ(ks.counters().get("sig_cache_miss"), kCapacity);
-    for (const Keystore::VerifyItem& item : batch) EXPECT_TRUE(item.valid);
-  }
 }
 
 TEST_P(KeystoreCacheTest, CachedVerifiesCycleThroughSmallCache) {
