@@ -3,33 +3,29 @@
 // The protocol stack (Client, Replica, QuorumCall) is written against
 // sim::Scheduler + rpc::Transport only. EventLoop is the deployment-side
 // implementation of the first half: monotonic wall-clock now(), timers on
-// a hashed timer wheel, and readable-fd dispatch via epoll (with a poll()
-// fallback when epoll is unavailable). Pairing it with net::UdpTransport
-// runs the identical state machines that the discrete-event Simulator
-// drives in tests.
+// the simulator's own sim::TimerQueue, and readable-fd dispatch via
+// epoll. Pairing it with net::UdpTransport runs the identical state
+// machines that the discrete-event Simulator drives in tests.
 //
 // Scheduler contract (see sim/simulator.h): TimerId 0 is never handed
-// out, ids are never reused, and cancel(0) / cancel(fired id) are no-ops.
+// out, ids are never reused, cancel(0) / cancel(fired id) are no-ops, and
+// a cancelled timer never runs.
 //
-// Ordering: timers due at the same wheel tick fire in (deadline,
-// insertion id) order, mirroring the simulator's same-time FIFO
-// tie-break. Zero-delay timers scheduled while draining sockets fire in
-// the same loop iteration, after the fd handlers — this is what keeps
-// SimTransport-style same-instant coalescing and the replicas' same-tick
-// batches working unchanged over UDP: every datagram drained in one
-// wakeup lands before the delay-0 flush timers run.
+// Ordering: due timers fire in (deadline, id) order, the simulator's
+// same-time FIFO tie-break. Zero-delay timers scheduled while draining
+// sockets fire in the same loop iteration, after the fd handlers — this
+// is what keeps rpc::SendCoalescer and the replicas' same-tick batches
+// working unchanged over UDP: every datagram drained in one wakeup lands
+// before the delay-0 flush timers run.
 //
 // Single-threaded by design, like the simulator: all calls (including
 // schedule/cancel) must come from the loop thread or before run().
 #pragma once
 
-#include <array>
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <unordered_map>
-#include <vector>
 
 #include "sim/simulator.h"
 
@@ -37,9 +33,9 @@ namespace bftbc::net {
 
 class EventLoop final : public sim::Scheduler {
  public:
-  // `force_poll` skips epoll even where available — tests exercise the
-  // poll() fallback path on Linux through this.
-  explicit EventLoop(bool force_poll = false);
+  // Aborts with the errno text if the kernel refuses an epoll instance:
+  // a loop without one could never dispatch a socket.
+  EventLoop();
   ~EventLoop() override;
 
   // Nanoseconds of CLOCK_MONOTONIC elapsed since this loop was built.
@@ -48,7 +44,7 @@ class EventLoop final : public sim::Scheduler {
   sim::Time now() const override;
 
   sim::TimerId schedule(sim::Time delay, std::function<void()> fn) override;
-  void cancel(sim::TimerId id) override;
+  void cancel(sim::TimerId id) override { timers_.cancel(id); }
 
   // Readable-fd watch: `on_readable` runs each time `fd` polls readable.
   // One handler per fd; re-watching replaces it. Handlers may watch or
@@ -57,8 +53,8 @@ class EventLoop final : public sim::Scheduler {
   void watch_fd(int fd, FdHandler on_readable);
   void unwatch_fd(int fd);
 
-  // One iteration: wait up to `max_wait` for fd readiness (shortened when
-  // timers are pending), dispatch ready fd handlers, then fire due
+  // One iteration: wait up to `max_wait` for fd readiness (shortened to
+  // the next timer deadline), dispatch ready fd handlers, then fire due
   // timers. Returns the number of fd events plus timers fired.
   std::size_t poll_once(sim::Time max_wait = 10 * sim::kMillisecond);
 
@@ -69,41 +65,16 @@ class EventLoop final : public sim::Scheduler {
   // Iterate until pred() holds or `timeout` elapses; true iff pred held.
   bool run_until(const std::function<bool()>& pred, sim::Time timeout);
 
-  bool using_epoll() const { return epoll_fd_ >= 0; }
-  std::size_t pending_timers() const { return timer_index_.size(); }
+  std::size_t pending_timers() const { return timers_.size(); }
 
  private:
-  struct Timer {
-    sim::TimerId id = 0;
-    sim::Time deadline = 0;
-    std::function<void()> fn;
-  };
-  using Slot = std::list<Timer>;
-
-  // 256 slots x 1ms tick: one wheel turn covers the retransmit/deadline
-  // range the protocol actually uses; longer timers simply stay in their
-  // slot across turns (each expiry scan re-checks the deadline).
-  static constexpr std::size_t kWheelBits = 8;
-  static constexpr std::size_t kWheelSlots = std::size_t{1} << kWheelBits;
-  static constexpr sim::Time kTickNs = sim::kMillisecond;
-
-  static std::size_t slot_of(sim::Time deadline) {
-    return static_cast<std::size_t>(deadline / kTickNs) & (kWheelSlots - 1);
-  }
-
   std::size_t fire_due_timers();
   std::size_t wait_and_dispatch_fds(sim::Time max_wait);
-  bool timer_due(sim::Time at) const;
 
   std::chrono::steady_clock::time_point epoch_;
-  int epoll_fd_ = -1;  // -1 => poll() fallback
+  int epoll_fd_ = -1;
   std::unordered_map<int, FdHandler> fd_handlers_;
-
-  std::array<Slot, kWheelSlots> wheel_;
-  // id -> (slot, node) for O(1) cancel; also the pending-timer count.
-  std::unordered_map<sim::TimerId, std::pair<std::size_t, Slot::iterator>>
-      timer_index_;
-  sim::TimerId next_timer_id_ = 1;  // 0 is the "no timer" sentinel
+  sim::TimerQueue timers_;
   bool stopped_ = false;
 };
 

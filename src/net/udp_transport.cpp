@@ -60,9 +60,15 @@ sockaddr_in UdpEndpoint::to_sockaddr() const {
 
 UdpTransport::UdpTransport(EventLoop& loop, sim::NodeId id,
                            const UdpEndpoint& bind_to,
-                           std::map<sim::NodeId, UdpEndpoint> peers,
-                           UdpTransportOptions options)
-    : loop_(loop), id_(id), options_(options) {
+                           std::map<sim::NodeId, UdpEndpoint> peers)
+    : loop_(loop),
+      id_(id),
+      coalescer_(
+          loop,
+          [this](sim::NodeId to, const rpc::Envelope& env) {
+            send_now(to, env);
+          },
+          [this] { counters_.inc("encode_calls"); }) {
   for (const auto& [node, ep] : peers) peers_[node] = ep.to_sockaddr();
 
   fd_ = ::socket(AF_INET, SOCK_DGRAM, 0);
@@ -84,13 +90,7 @@ UdpTransport::UdpTransport(EventLoop& loop, sim::NodeId id,
 }
 
 UdpTransport::~UdpTransport() {
-  if (flush_scheduled_) {
-    loop_.cancel(flush_timer_);
-    // Mirror of SimTransport teardown: an envelope accepted by send()
-    // must not silently vanish — drain the coalescing remainder onto the
-    // socket before closing it.
-    flush_sends();
-  }
+  coalescer_.flush();  // onto the socket before it closes
   if (fd_ >= 0) {
     loop_.unwatch_fd(fd_);
     ::close(fd_);
@@ -110,22 +110,12 @@ const sockaddr_in* UdpTransport::addr_for(sim::NodeId to) {
 }
 
 void UdpTransport::send(sim::NodeId to, const rpc::Envelope& env) {
-  pending_[to].push_back(env);
-  if (!flush_scheduled_) {
-    flush_scheduled_ = true;
-    // Delay 0 fires after the current socket drain completes, so one
-    // flush gathers every send of this wakeup — the live analogue of
-    // SimTransport's same-virtual-instant coalescing.
-    flush_timer_ = loop_.schedule(0, [this] { flush_sends(); });
-  }
+  coalescer_.send(to, env);
 }
 
 void UdpTransport::send_now(sim::NodeId to, const rpc::Envelope& env) {
   if (!env.has_cached_encoding()) counters_.inc("encode_calls");
-  send_payload(to, env.shared_encoding());
-}
-
-void UdpTransport::send_payload(sim::NodeId to, const EncodedMessage& payload) {
+  const EncodedMessage& payload = env.shared_encoding();
   counters_.inc("msgs_sent");
   counters_.inc("bytes_sent", payload.size());
   const sockaddr_in* dst = fd_ >= 0 ? addr_for(to) : nullptr;
@@ -146,49 +136,6 @@ void UdpTransport::send_payload(sim::NodeId to, const EncodedMessage& payload) {
                reinterpret_cast<const sockaddr*>(dst), sizeof(*dst));
   if (n != static_cast<ssize_t>(datagram.size())) {
     counters_.inc("msgs_dropped");
-  }
-}
-
-void UdpTransport::flush_sends() {
-  flush_scheduled_ = false;
-  std::map<sim::NodeId, std::vector<rpc::Envelope>> pending;
-  pending.swap(pending_);
-  for (auto& [to, envs] : pending) {
-    if (envs.size() == 1) {
-      send_now(to, envs.front());
-      continue;
-    }
-    // Pack sub-envelopes into kBatch bundles, starting a fresh bundle
-    // whenever the next envelope would push the datagram past the cap.
-    std::size_t i = 0;
-    while (i < envs.size()) {
-      Writer body;
-      std::uint32_t count = 0;
-      std::size_t batch_size = kHeaderSize;
-      while (i < envs.size()) {
-        const rpc::Envelope& sub = envs[i];
-        if (!sub.has_cached_encoding()) counters_.inc("encode_calls");
-        const EncodedMessage& enc = sub.shared_encoding();
-        if (count > 0 && batch_size + enc.size() > options_.max_datagram) {
-          break;
-        }
-        body.put_bytes(enc.view());
-        batch_size += enc.size() + 5;  // varint length prefix worst case
-        ++count;
-        ++i;
-      }
-      if (count == 1) {
-        send_now(to, envs[i - 1]);
-        continue;
-      }
-      Writer w;
-      w.put_u32(count);
-      w.put_raw(body.data());
-      rpc::Envelope batch;
-      batch.type = rpc::MsgType::kBatch;
-      batch.body = std::move(w).take();
-      send_now(to, batch);
-    }
   }
 }
 
@@ -228,27 +175,7 @@ void UdpTransport::on_readable() {
     }
     counters_.inc("msgs_delivered");
     counters_.inc("bytes_delivered", body.size());
-    if (env->type == rpc::MsgType::kBatch) {
-      deliver_bundle(from, env->body);
-      continue;
-    }
-    receiver_(from, *env);
-  }
-}
-
-void UdpTransport::deliver_bundle(sim::NodeId from, BytesView body) {
-  Reader r(body);
-  const std::uint32_t count = r.get_u32();
-  for (std::uint32_t i = 0; i < count && r.ok(); ++i) {
-    // Re-checked every iteration, as in SimTransport: a handler may
-    // clear the receiver mid-bundle (shutdown), and invoking an empty
-    // std::function is UB.
-    if (!receiver_) return;
-    auto sub = rpc::Envelope::decode(r.get_bytes());
-    // Nested bundles are never produced; drop them so a Byzantine sender
-    // cannot build unbounded recursion.
-    if (!sub.has_value() || sub->type == rpc::MsgType::kBatch) continue;
-    receiver_(from, *sub);
+    rpc::SendCoalescer::deliver(receiver_, from, *env);
   }
 }
 

@@ -1,9 +1,9 @@
 // rpc::Transport over a real UDP socket.
 //
 // The live counterpart of rpc::SimTransport: the same Envelope wire
-// format, the same same-instant kBatch coalescing (delay-0 flush timer on
-// the EventLoop instead of the Simulator), the same receiver-side
-// unbundling — so protocol state machines are byte-for-byte oblivious to
+// format and the same rpc::SendCoalescer (its delay-0 flush timer on the
+// EventLoop instead of the Simulator, its bundles capped to fit one
+// datagram) — so protocol state machines are byte-for-byte oblivious to
 // whether their packets cross a simulated link or the kernel.
 //
 // Datagram framing (UDP preserves message boundaries, so no length
@@ -27,7 +27,6 @@
 #include <netinet/in.h>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "net/event_loop.h"
 #include "rpc/transport.h"
@@ -52,14 +51,6 @@ struct UdpEndpoint {
   }
 };
 
-struct UdpTransportOptions {
-  // Same-instant sends always coalesce into kBatch datagrams. A batch
-  // flushes early rather than exceed this datagram size; a single
-  // envelope larger than the cap is sent alone and may fail (counted as
-  // a drop) — the protocol's retransmit machinery owns recovery.
-  std::size_t max_datagram = 60 * 1024;
-};
-
 class UdpTransport final : public rpc::Transport {
  public:
   // Binds a UDP socket at `bind_to` (port 0 lets the kernel pick — the
@@ -68,10 +59,11 @@ class UdpTransport final : public rpc::Transport {
   // config); anyone else is reachable only once learned from inbound
   // traffic. Aborts via Status-less throw-free design: a failed bind
   // leaves the transport invalid (valid() == false, sends count as
-  // drops) so daemons can report and exit cleanly.
+  // drops) so daemons can report and exit cleanly. A single envelope
+  // too large for one datagram fails the same way (counted as a drop);
+  // the protocol's retransmit machinery owns recovery.
   UdpTransport(EventLoop& loop, sim::NodeId id, const UdpEndpoint& bind_to,
-               std::map<sim::NodeId, UdpEndpoint> peers,
-               UdpTransportOptions options = {});
+               std::map<sim::NodeId, UdpEndpoint> peers);
   ~UdpTransport() override;
 
   UdpTransport(const UdpTransport&) = delete;
@@ -91,15 +83,11 @@ class UdpTransport final : public rpc::Transport {
 
  private:
   void send_now(sim::NodeId to, const rpc::Envelope& env);
-  void send_payload(sim::NodeId to, const EncodedMessage& payload);
-  void flush_sends();
   void on_readable();
-  void deliver_bundle(sim::NodeId from, BytesView body);
   const sockaddr_in* addr_for(sim::NodeId to);
 
   EventLoop& loop_;
   sim::NodeId id_;
-  UdpTransportOptions options_;
   int fd_ = -1;
   std::uint16_t local_port_ = 0;
   Receiver receiver_;
@@ -107,12 +95,8 @@ class UdpTransport final : public rpc::Transport {
   std::map<sim::NodeId, sockaddr_in> peers_;    // configured (replicas)
   std::map<sim::NodeId, sockaddr_in> learned_;  // observed (clients)
 
-  // Same-instant coalescing state, one-for-one with SimTransport.
-  std::map<sim::NodeId, std::vector<rpc::Envelope>> pending_;
-  sim::TimerId flush_timer_ = 0;
-  bool flush_scheduled_ = false;
-
   Counters counters_;
+  rpc::SendCoalescer coalescer_;
 };
 
 }  // namespace bftbc::net

@@ -66,9 +66,8 @@ class QuorumCall {
   const std::vector<bool>& accepted() const { return accepted_; }
 
   // Timer-id hygiene, exposed so tests can pin the contract: a fired or
-  // cancelled timer's stored id is zeroed and never cancelled again. A
-  // live timer wheel is allowed to recycle ids, so cancelling a stale id
-  // could kill an unrelated timer.
+  // cancelled timer's stored id is zeroed and never cancelled again (the
+  // holder's half of sim::Scheduler's contract).
   sim::TimerId retransmit_timer_id() const { return retransmit_timer_; }
   sim::TimerId deadline_timer_id() const { return deadline_timer_; }
 

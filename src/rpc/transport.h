@@ -2,11 +2,12 @@
 //
 // Protocol code (clients, replicas, baselines, Byzantine behaviors) is
 // written against this interface only, so the same state machines run on
-// the deterministic simulator today and could run on sockets unchanged.
+// the deterministic simulator and, through net::UdpTransport, on sockets.
 #pragma once
 
 #include <functional>
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "rpc/message.h"
@@ -30,42 +31,83 @@ class Transport {
   virtual void set_receiver(Receiver receiver) = 0;
 };
 
-// Transport bound to the simulated network.
+// Same-instant send coalescing, shared by SimTransport and
+// net::UdpTransport. Every envelope queued for one destination before the
+// delay-0 flush timer runs (one virtual-time instant, or one live loop
+// wakeup) ships as one MsgType::kBatch wire message — one packet in a
+// deployment; a lone envelope ships bare. The receiving transport
+// unbundles through deliver(), so protocol code sees the same
+// per-envelope delivery either way — but the sub-envelopes now arrive at
+// the same tick, which is what feeds the replica's same-tick batches
+// real multi-message batches.
 //
-// With a simulator handle (`coalesce_sim`), outgoing sends coalesce:
-// every envelope queued for one destination within a single virtual-time
-// instant ships as one MsgType::kBatch wire message (one syscall/packet
-// in a deployment). The receiving transport unbundles transparently, so
-// protocol code sees the same per-envelope delivery either way — but the
-// sub-envelopes now arrive at the same tick, which is what feeds the
-// replica's same-tick batches real multi-message batches.
+// The owner supplies how one wire envelope goes out and how a first-time
+// encode is counted, and calls flush() before its wire goes away: an
+// envelope accepted by send() never silently vanishes.
+class SendCoalescer {
+ public:
+  // A bundle closes before its sub-envelopes, each with a worst-case
+  // length prefix, would pass this many bytes, so a live bundle plus its
+  // framing fits one UDP datagram (65,507 payload bytes on loopback). A
+  // single envelope above the cap ships alone.
+  static constexpr std::size_t kMaxBundleBytes = 60 * 1024;
+
+  using SendFn = std::function<void(sim::NodeId to, const Envelope& env)>;
+
+  SendCoalescer(sim::Scheduler& scheduler, SendFn send,
+                std::function<void()> note_encode)
+      : scheduler_(scheduler),
+        send_(std::move(send)),
+        note_encode_(std::move(note_encode)) {}
+  ~SendCoalescer() { scheduler_.cancel(flush_timer_); }
+
+  SendCoalescer(const SendCoalescer&) = delete;
+  SendCoalescer& operator=(const SendCoalescer&) = delete;
+
+  void send(sim::NodeId to, const Envelope& env);
+
+  // Ships everything pending now, as the flush timer would.
+  void flush();
+
+  // Hands a received wire envelope to `receiver`, unpacking a kBatch
+  // bundle into its sub-envelopes.
+  static void deliver(const Transport::Receiver& receiver, sim::NodeId from,
+                      const Envelope& env);
+
+ private:
+  sim::Scheduler& scheduler_;
+  SendFn send_;
+  std::function<void()> note_encode_;
+  std::map<sim::NodeId, std::vector<Envelope>> pending_;
+  sim::TimerId flush_timer_ = 0;  // 0: no flush pending
+};
+
+// Transport bound to the simulated network. With a simulator handle
+// (`coalesce_sim`), outgoing sends go through a SendCoalescer; without
+// one, each envelope is sent at once, so wire counts stay one per
+// envelope.
 class SimTransport final : public Transport {
  public:
   SimTransport(sim::Network& network, sim::NodeId id,
                sim::Simulator* coalesce_sim = nullptr)
-      : network_(network), id_(id), coalesce_sim_(coalesce_sim) {
+      : network_(network), id_(id) {
+    if (coalesce_sim != nullptr) {
+      coalescer_.emplace(
+          *coalesce_sim,
+          [this](sim::NodeId to, const Envelope& env) { send_now(to, env); },
+          [this] { network_.note_encode(); });
+    }
     network_.register_node(
         id_, [this](sim::NodeId from, const EncodedMessage& payload) {
           if (!receiver_) return;
           auto env = Envelope::decode(payload.view());
           if (!env.has_value()) return;  // corrupted / garbage: drop silently
-          if (env->type == MsgType::kBatch) {
-            deliver_bundle(from, env->body);
-            return;
-          }
-          receiver_(from, *env);
+          SendCoalescer::deliver(receiver_, from, *env);
         });
   }
 
   ~SimTransport() override {
-    if (flush_scheduled_) {
-      coalesce_sim_->cancel(flush_timer_);
-      // Teardown must not silently lose envelopes the caller already
-      // handed over: ship the coalescing remainder exactly as the
-      // cancelled flush timer would have (a live transport drains its
-      // socket queue the same way on close).
-      flush_sends();
-    }
+    if (coalescer_) coalescer_->flush();
     network_.unregister_node(id_);
   }
 
@@ -75,16 +117,10 @@ class SimTransport final : public Transport {
   sim::NodeId node_id() const override { return id_; }
 
   void send(sim::NodeId to, const Envelope& env) override {
-    if (coalesce_sim_ == nullptr) {
+    if (coalescer_) {
+      coalescer_->send(to, env);
+    } else {
       send_now(to, env);
-      return;
-    }
-    pending_[to].push_back(env);
-    if (!flush_scheduled_) {
-      flush_scheduled_ = true;
-      // Delay 0 fires after every event already queued for this instant,
-      // so one flush gathers the whole tick's sends.
-      flush_timer_ = coalesce_sim_->schedule(0, [this] { flush_sends(); });
     }
   }
 
@@ -100,53 +136,10 @@ class SimTransport final : public Transport {
     network_.send(id_, to, env.shared_encoding());
   }
 
-  void flush_sends() {
-    flush_scheduled_ = false;
-    std::map<sim::NodeId, std::vector<Envelope>> pending;
-    pending.swap(pending_);
-    for (auto& [to, envs] : pending) {
-      if (envs.size() == 1) {
-        send_now(to, envs.front());
-        continue;
-      }
-      Writer w;
-      w.put_u32(static_cast<std::uint32_t>(envs.size()));
-      for (const Envelope& sub : envs) {
-        if (!sub.has_cached_encoding()) network_.note_encode();
-        w.put_bytes(sub.shared_encoding().view());
-      }
-      Envelope batch;
-      batch.type = MsgType::kBatch;
-      batch.body = std::move(w).take();
-      send_now(to, batch);
-    }
-  }
-
-  void deliver_bundle(sim::NodeId from, BytesView body) {
-    Reader r(body);
-    const std::uint32_t count = r.get_u32();
-    for (std::uint32_t i = 0; i < count && r.ok(); ++i) {
-      // Re-checked every iteration: a handler may react to one
-      // sub-envelope by clearing the receiver (shutdown, node
-      // unregistration), and invoking an empty std::function is UB.
-      if (!receiver_) return;
-      auto sub = Envelope::decode(r.get_bytes());
-      // Nested bundles are never produced; drop them so a Byzantine
-      // sender cannot build unbounded recursion.
-      if (!sub.has_value() || sub->type == MsgType::kBatch) continue;
-      receiver_(from, *sub);
-    }
-  }
-
   sim::Network& network_;
   sim::NodeId id_;
-  sim::Simulator* coalesce_sim_;
   Receiver receiver_;
-
-  // Same-tick coalescing state (used only with coalesce_sim_).
-  std::map<sim::NodeId, std::vector<Envelope>> pending_;
-  sim::TimerId flush_timer_ = 0;
-  bool flush_scheduled_ = false;
+  std::optional<SendCoalescer> coalescer_;
 };
 
 }  // namespace bftbc::rpc

@@ -1,8 +1,39 @@
 #include "sim/simulator.h"
 
+#include <algorithm>
+#include <limits>
+
 #include "util/log.h"
 
 namespace bftbc::sim {
+
+TimerId TimerQueue::push(Time when, std::function<void()> fn) {
+  const TimerId id = next_id_++;
+  heap_.push(Entry{when, id});
+  callbacks_.emplace(id, std::move(fn));
+  return id;
+}
+
+std::optional<Time> TimerQueue::next_deadline() {
+  while (!heap_.empty() && callbacks_.count(heap_.top().id) == 0) {
+    heap_.pop();  // cancelled
+  }
+  if (heap_.empty()) return std::nullopt;
+  return heap_.top().when;
+}
+
+std::optional<TimerQueue::Due> TimerQueue::pop_due(Time at) {
+  while (!heap_.empty() && heap_.top().when <= at) {
+    const Entry top = heap_.top();
+    heap_.pop();
+    auto it = callbacks_.find(top.id);
+    if (it == callbacks_.end()) continue;  // cancelled
+    Due due{top.when, std::move(it->second)};
+    callbacks_.erase(it);
+    return due;
+  }
+  return std::nullopt;
+}
 
 Simulator::Simulator() {
   // Log lines carry virtual time while this simulator is alive.
@@ -16,32 +47,20 @@ TimerId Simulator::schedule(Time delay, std::function<void()> fn) {
 }
 
 TimerId Simulator::schedule_at(Time when, std::function<void()> fn) {
-  const TimerId id = next_id_++;
-  if (when < now_) when = now_;
-  queue_.push(Event{when, next_seq_++, id});
-  callbacks_.emplace(id, std::move(fn));
-  return id;
+  return queue_.push(std::max(when, now_), std::move(fn));
 }
 
-void Simulator::cancel(TimerId id) {
-  if (callbacks_.erase(id) > 0) cancelled_.insert(id);
+void Simulator::fire(TimerQueue::Due event) {
+  now_ = event.when;
+  ++executed_;
+  event.fn();
 }
 
 bool Simulator::step() {
-  while (!queue_.empty()) {
-    Event ev = queue_.top();
-    queue_.pop();
-    if (cancelled_.erase(ev.id) > 0) continue;  // tombstone
-    auto it = callbacks_.find(ev.id);
-    if (it == callbacks_.end()) continue;
-    std::function<void()> fn = std::move(it->second);
-    callbacks_.erase(it);
-    now_ = ev.when;
-    ++executed_;
-    fn();
-    return true;
-  }
-  return false;
+  auto event = queue_.pop_due(std::numeric_limits<Time>::max());
+  if (!event) return false;
+  fire(std::move(*event));
+  return true;
 }
 
 std::size_t Simulator::run(std::size_t max_events) {
@@ -56,16 +75,9 @@ std::size_t Simulator::run(std::size_t max_events) {
 
 std::size_t Simulator::run_until(Time deadline) {
   std::size_t n = 0;
-  while (!queue_.empty()) {
-    // Skip over tombstones to see the true next event time.
-    Event top = queue_.top();
-    if (cancelled_.count(top.id)) {
-      queue_.pop();
-      cancelled_.erase(top.id);
-      continue;
-    }
-    if (top.when > deadline) break;
-    if (step()) ++n;
+  while (auto event = queue_.pop_due(deadline)) {
+    fire(std::move(*event));
+    ++n;
   }
   if (now_ < deadline) now_ = deadline;
   return n;

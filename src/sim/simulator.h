@@ -6,15 +6,15 @@
 // test and benchmark in this repo leans on.
 //
 // Tie-breaking: events at the same virtual time fire in insertion order
-// (a monotone sequence number), so determinism never depends on
+// (the monotone timer id), so determinism never depends on
 // std::priority_queue internals.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <queue>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace bftbc::sim {
@@ -31,10 +31,12 @@ using TimerId = std::uint64_t;
 // The timer contract protocol code is written against: current time plus
 // schedule/cancel. Two implementations exist — the discrete-event
 // Simulator below (virtual time) and net::EventLoop (monotonic wall
-// time over epoll/poll) — so the identical client/replica state machines
+// time over epoll) — so the identical client/replica state machines
 // run simulated and live. Implementations never hand out TimerId 0 and
-// never reuse an id, and cancel(0) / cancel(fired id) are no-ops; timer
-// holders zero their stored ids once a timer fires (see QuorumCall).
+// never reuse an id, and cancel(0) / cancel(fired id) are no-ops; a
+// pending timer that is cancelled never runs, even when the cancelling
+// callback fires at the same instant. Timer holders zero their stored
+// ids once a timer fires (see QuorumCall).
 class Scheduler {
  public:
   virtual ~Scheduler() = default;
@@ -52,6 +54,42 @@ class Scheduler {
   virtual void cancel(TimerId id) = 0;
 };
 
+// The timer queue behind both Schedulers: a min-heap of (deadline, id),
+// so timers due at the same time pop in schedule order. Callbacks live
+// beside the heap, so cancel() just erases one and pop_due() skips a
+// popped entry that has none.
+class TimerQueue {
+ public:
+  struct Due {
+    Time when;
+    std::function<void()> fn;
+  };
+
+  TimerId push(Time when, std::function<void()> fn);
+  void cancel(TimerId id) { callbacks_.erase(id); }
+
+  // Deadline of the earliest pending timer, if any.
+  std::optional<Time> next_deadline();
+
+  // Removes and returns the earliest pending timer if it is due at `at`.
+  std::optional<Due> pop_due(Time at);
+
+  std::size_t size() const { return callbacks_.size(); }
+
+ private:
+  struct Entry {
+    Time when;
+    TimerId id;
+    bool operator>(const Entry& other) const {
+      return when != other.when ? when > other.when : id > other.id;
+    }
+  };
+
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap_;
+  std::unordered_map<TimerId, std::function<void()>> callbacks_;
+  TimerId next_id_ = 1;  // 0 is the "no timer" sentinel
+};
+
 class Simulator final : public Scheduler {
  public:
   Simulator();
@@ -62,7 +100,7 @@ class Simulator final : public Scheduler {
   TimerId schedule(Time delay, std::function<void()> fn) override;
   TimerId schedule_at(Time when, std::function<void()> fn);
 
-  void cancel(TimerId id) override;
+  void cancel(TimerId id) override { queue_.cancel(id); }
 
   // Run a single event. Returns false if the queue is empty.
   bool step();
@@ -81,31 +119,16 @@ class Simulator final : public Scheduler {
   bool run_while_pending(const std::function<bool()>& pred,
                          std::size_t max_events = kDefaultMaxEvents);
 
-  std::size_t pending_events() const { return queue_.size() - cancelled_.size(); }
+  std::size_t pending_events() const { return queue_.size(); }
   std::uint64_t executed_events() const { return executed_; }
 
   static constexpr std::size_t kDefaultMaxEvents = 50'000'000;
 
  private:
-  struct Event {
-    Time when;
-    std::uint64_t seq;
-    TimerId id;
-    // Ordering for the min-heap: earliest time first, then FIFO.
-    bool operator>(const Event& other) const {
-      if (when != other.when) return when > other.when;
-      return seq > other.seq;
-    }
-  };
+  void fire(TimerQueue::Due event);
 
-  // Callbacks live outside the heap entries so cancel() is O(1).
-  std::priority_queue<Event, std::vector<Event>, std::greater<Event>> queue_;
-  std::unordered_map<TimerId, std::function<void()>> callbacks_;
-  std::unordered_set<TimerId> cancelled_;
-
+  TimerQueue queue_;
   Time now_ = 0;
-  std::uint64_t next_seq_ = 0;
-  TimerId next_id_ = 1;
   std::uint64_t executed_ = 0;
 };
 

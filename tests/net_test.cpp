@@ -1,10 +1,11 @@
-// Live transport layer: EventLoop timer wheel + fd dispatch, UdpTransport
+// Live transport layer: EventLoop timers + fd dispatch, UdpTransport
 // over real loopback sockets, and the shared cluster config. These tests
 // use real time and real sockets, so assertions are bounded waits
 // (run_until with a generous deadline) rather than exact virtual-time
 // checks — on loopback they complete in milliseconds.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <memory>
@@ -38,24 +39,12 @@ UdpEndpoint loopback(std::uint16_t port = 0) {
 // ---------------------------------------------------------------------------
 // EventLoop: the sim::Scheduler contract over real time.
 
-// Both backend paths (epoll and the poll() fallback) must behave
-// identically; every loop test runs under each.
-class EventLoopTest : public ::testing::TestWithParam<bool> {
+class EventLoopTest : public ::testing::Test {
  protected:
-  EventLoopTest() : loop_(/*force_poll=*/GetParam()) {}
   EventLoop loop_;
 };
 
-INSTANTIATE_TEST_SUITE_P(Backends, EventLoopTest, ::testing::Bool(),
-                         [](const auto& info) {
-                           return info.param ? "Poll" : "Epoll";
-                         });
-
-TEST_P(EventLoopTest, BackendMatchesParam) {
-  EXPECT_EQ(loop_.using_epoll(), !GetParam());
-}
-
-TEST_P(EventLoopTest, TimerIdsAreNonZeroAndNeverReused) {
+TEST_F(EventLoopTest, TimerIdsAreNonZeroAndNeverReused) {
   std::vector<sim::TimerId> ids;
   for (int i = 0; i < 100; ++i) {
     const sim::TimerId id = loop_.schedule(0, [] {});
@@ -69,7 +58,7 @@ TEST_P(EventLoopTest, TimerIdsAreNonZeroAndNeverReused) {
   }
 }
 
-TEST_P(EventLoopTest, TimersFireInDeadlineOrder) {
+TEST_F(EventLoopTest, TimersFireInDeadlineOrder) {
   std::vector<int> order;
   loop_.schedule(5 * sim::kMillisecond, [&] { order.push_back(2); });
   loop_.schedule(1 * sim::kMillisecond, [&] { order.push_back(1); });
@@ -78,8 +67,8 @@ TEST_P(EventLoopTest, TimersFireInDeadlineOrder) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
-TEST_P(EventLoopTest, SameInstantTimersFireInScheduleOrder) {
-  // The simulator's FIFO tie-break for equal times, mirrored live.
+TEST_F(EventLoopTest, SameInstantTimersFireInScheduleOrder) {
+  // The simulator's FIFO tie-break for equal times, on the same queue.
   std::vector<int> order;
   for (int i = 0; i < 8; ++i) {
     loop_.schedule(0, [&order, i] { order.push_back(i); });
@@ -88,7 +77,7 @@ TEST_P(EventLoopTest, SameInstantTimersFireInScheduleOrder) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
 }
 
-TEST_P(EventLoopTest, CancelPreventsFiringAndTolerates0AndFiredIds) {
+TEST_F(EventLoopTest, CancelPreventsFiringAndTolerates0AndFiredIds) {
   bool cancelled_fired = false;
   bool kept_fired = false;
   const sim::TimerId doomed =
@@ -104,7 +93,25 @@ TEST_P(EventLoopTest, CancelPreventsFiringAndTolerates0AndFiredIds) {
   EXPECT_EQ(loop_.pending_timers(), 0u);
 }
 
-TEST_P(EventLoopTest, ZeroDelayChainsRunWithinOneWakeup) {
+TEST_F(EventLoopTest, CancelByEarlierTimerOfTheSamePassPreventsFiring) {
+  // Both timers fall due in one pass of the due-timer sweep; the first
+  // cancels the second, which must then never run (the Scheduler
+  // contract, as on sim::Simulator).
+  int second_fired = 0;
+  sim::TimerId second = 0;
+  bool first_fired = false;
+  loop_.schedule(0, [&] {
+    first_fired = true;
+    loop_.cancel(second);
+  });
+  second = loop_.schedule(0, [&] { ++second_fired; });
+  ASSERT_TRUE(loop_.run_until([&] { return first_fired; }, kWait));
+  loop_.run_until([] { return false; }, 5 * sim::kMillisecond);
+  EXPECT_EQ(second_fired, 0);
+  EXPECT_EQ(loop_.pending_timers(), 0u);
+}
+
+TEST_F(EventLoopTest, ZeroDelayChainsRunWithinOneWakeup) {
   // A delay-0 callback scheduling another delay-0 (the coalescing-flush /
   // zero-cost-processing shape) completes in the same poll_once.
   int depth = 0;
@@ -116,9 +123,9 @@ TEST_P(EventLoopTest, ZeroDelayChainsRunWithinOneWakeup) {
   EXPECT_EQ(depth, 5);
 }
 
-TEST_P(EventLoopTest, LongTimersSurviveWheelWraparound) {
-  // 300ms > one full wheel turn (256 slots x 1ms): the slot is revisited
-  // before the deadline and must not fire early.
+TEST_F(EventLoopTest, LongTimersDoNotFireEarly) {
+  // run_until wakes the loop at least every 10ms, so it wakes several
+  // times before the 300ms deadline; none of those wakeups may fire it.
   bool fired = false;
   loop_.schedule(300 * sim::kMillisecond, [&] { fired = true; });
   loop_.run_until([] { return false; }, 50 * sim::kMillisecond);
@@ -126,14 +133,14 @@ TEST_P(EventLoopTest, LongTimersSurviveWheelWraparound) {
   ASSERT_TRUE(loop_.run_until([&] { return fired; }, kWait));
 }
 
-TEST_P(EventLoopTest, NowIsMonotonic) {
+TEST_F(EventLoopTest, NowIsMonotonic) {
   const sim::Time a = loop_.now();
   loop_.run_until([] { return false; }, 2 * sim::kMillisecond);
   const sim::Time b = loop_.now();
   EXPECT_GE(b, a + sim::kMillisecond);
 }
 
-TEST_P(EventLoopTest, FdDispatchAndUnwatch) {
+TEST_F(EventLoopTest, FdDispatchAndUnwatch) {
   int fds[2];
   ASSERT_EQ(::pipe(fds), 0);
   int reads = 0;
@@ -153,10 +160,27 @@ TEST_P(EventLoopTest, FdDispatchAndUnwatch) {
   ::close(fds[1]);
 }
 
-TEST_P(EventLoopTest, StopExitsRun) {
+TEST_F(EventLoopTest, StopExitsRun) {
   loop_.schedule(sim::kMillisecond, [&] { loop_.stop(); });
   loop_.run();  // returns because the timer stopped it
   SUCCEED();
+}
+
+TEST(EventLoopDeathTest, FailedEpollCreateAborts) {
+  // With no descriptor left to hand out, the loop must not limp on with
+  // fd -1 (every epoll call would fail and no socket would dispatch).
+  EXPECT_DEATH(
+      {
+        // A first loop, built while descriptors are left, also settles
+        // UBSan's type check of EventLoop, whose first run opens a pipe.
+        EventLoop first;
+        rlimit lim{};
+        ::getrlimit(RLIMIT_NOFILE, &lim);
+        lim.rlim_cur = 0;  // this (forked) process may open no more fds
+        ::setrlimit(RLIMIT_NOFILE, &lim);
+        EventLoop loop;
+      },
+      "epoll_create1 failed");
 }
 
 // ---------------------------------------------------------------------------
@@ -166,10 +190,9 @@ class UdpTransportTest : public ::testing::Test {
  protected:
   // Builds a bound transport with no peers; callers wire peer tables
   // through make_peer() once ports are known.
-  std::unique_ptr<UdpTransport> make_node(
-      sim::NodeId id, UdpTransportOptions options = {}) {
+  std::unique_ptr<UdpTransport> make_node(sim::NodeId id) {
     auto t = std::make_unique<UdpTransport>(
-        loop_, id, loopback(), std::map<sim::NodeId, UdpEndpoint>{}, options);
+        loop_, id, loopback(), std::map<sim::NodeId, UdpEndpoint>{});
     EXPECT_TRUE(t->valid());
     return t;
   }
@@ -222,16 +245,15 @@ TEST_F(UdpTransportTest, CoalescesSameInstantSendsIntoOneDatagram) {
 
 TEST_F(UdpTransportTest, OversizeBatchSplitsAtDatagramCap) {
   auto receiver = make_node(2);
-  UdpTransportOptions opts;
-  opts.max_datagram = 2048;
-  UdpTransport sender(loop_, 1, loopback(), peer(2, *receiver), opts);
+  UdpTransport sender(loop_, 1, loopback(), peer(2, *receiver));
   int delivered = 0;
   receiver->set_receiver(
       [&](sim::NodeId, const rpc::Envelope&) { ++delivered; });
 
-  // 6 x ~700B cannot fit one 2KiB datagram; the flush must split the
-  // batch rather than emit an oversized packet.
-  const std::string big(700, 'x');
+  // 6 x 20KiB cannot fit one bundle under SendCoalescer::kMaxBundleBytes
+  // (nor one UDP datagram); the flush must split the batch rather than
+  // emit a packet the kernel refuses.
+  const std::string big(20 * 1024, 'x');
   for (std::uint64_t i = 0; i < 6; ++i) sender.send(2, envelope(i + 1, big));
   ASSERT_TRUE(loop_.run_until([&] { return delivered == 6; }, kWait));
   EXPECT_GT(sender.counters().get("msgs_sent"), 1u);

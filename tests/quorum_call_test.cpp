@@ -194,9 +194,9 @@ TEST_F(QuorumCallTest, FiredTimerIdsAreZeroed) {
   EXPECT_NE(call.deadline_timer_id(), 0u);
   sim_.run_until(20'000);  // deadline fires, retransmissions stop
   // Both ids are stale now (deadline fired, retransmit cancelled by the
-  // timeout path) and must be zeroed: a live timer wheel may hand the
-  // same id to an unrelated timer, and ~QuorumCall cancels whatever ids
-  // it still holds (pre-fix, both stayed nonzero here).
+  // timeout path) and must be zeroed, the holder's half of the Scheduler
+  // contract: ~QuorumCall cancels whatever ids it still holds (pre-fix,
+  // both stayed nonzero here).
   EXPECT_EQ(call.retransmit_timer_id(), 0u);
   EXPECT_EQ(call.deadline_timer_id(), 0u);
 }

@@ -49,6 +49,19 @@ TEST(SimulatorTest, CancelPreventsExecution) {
   EXPECT_FALSE(fired);
 }
 
+TEST(SimulatorTest, CancelByEarlierEventOfTheSameInstantPreventsExecution) {
+  // The Scheduler contract net::EventLoop shares: the first of two
+  // same-instant timers cancels the second, which then never runs.
+  Simulator sim;
+  int second_fired = 0;
+  TimerId second = 0;
+  sim.schedule(0, [&] { sim.cancel(second); });
+  second = sim.schedule(0, [&] { ++second_fired; });
+  sim.run();
+  EXPECT_EQ(second_fired, 0);
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
+
 TEST(SimulatorTest, CancelAfterFireIsNoop) {
   Simulator sim;
   int fired = 0;

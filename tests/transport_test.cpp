@@ -1,4 +1,5 @@
-// SimTransport: encode-once sends and same-tick coalescing (kBatch).
+// SimTransport: encode-once sends and same-tick coalescing (kBatch)
+// through rpc::SendCoalescer.
 #include <gtest/gtest.h>
 
 #include "rpc/transport.h"
@@ -102,6 +103,28 @@ TEST_F(TransportTest, CoalescingGroupsPerDestination) {
   EXPECT_EQ(net_.counters().get("msgs_sent"), 2u);
   EXPECT_EQ(got2, 2);
   EXPECT_EQ(got3, 1);
+}
+
+TEST_F(TransportTest, OversizeBatchSplitsAtBundleCap) {
+  SimTransport sender(net_, 1, &sim_);
+  SimTransport receiver(net_, 2);
+  std::vector<Envelope> got;
+  receiver.set_receiver(
+      [&](sim::NodeId, const Envelope& env) { got.push_back(env); });
+
+  // 6 x 20KiB cannot fit one bundle: the same cap that keeps a live
+  // bundle inside one UDP datagram splits the simulated one.
+  const std::string big(20 * 1024, 'x');
+  for (std::uint64_t i = 0; i < 6; ++i) sender.send(2, envelope(i + 1, big));
+  sim_.run_until(500);
+
+  EXPECT_GT(net_.counters().get("msgs_sent"), 1u);
+  EXPECT_LT(net_.counters().get("msgs_sent"), 6u);
+  EXPECT_LE(net_.counters().get("bytes_sent"),
+            net_.counters().get("msgs_sent") *
+                (SendCoalescer::kMaxBundleBytes + 64));
+  ASSERT_EQ(got.size(), 6u);
+  for (std::uint64_t i = 0; i < 6; ++i) EXPECT_EQ(got[i].rpc_id, i + 1);
 }
 
 TEST_F(TransportTest, NestedBatchEnvelopesAreDropped) {

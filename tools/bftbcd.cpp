@@ -43,8 +43,6 @@ int main(int argc, char** argv) {
       flags.add_int("replica", -1, "this replica's index (0..3f)");
   auto& shard_id = flags.add_int(
       "shard", 0, "this replica's shard group (multi-shard configs)");
-  auto& force_poll =
-      flags.add_bool("force-poll", false, "use poll() even where epoll exists");
   flags.parse(argc, argv);
 
   if ((*config_path).empty() || *replica_id < 0) {
@@ -79,7 +77,7 @@ int main(int argc, char** argv) {
                             cluster.shard_seed(shard), cluster.rsa_bits);
   net::register_cluster_principals(cluster, keystore);
 
-  net::EventLoop loop(*force_poll);
+  net::EventLoop loop;
   auto peers = net::replica_endpoints(cluster, shard);
   if (!peers.is_ok()) {
     std::fprintf(stderr, "bftbcd: %s\n", peers.status().message().c_str());
