@@ -99,7 +99,7 @@ int main(int argc, char** argv) {
     Writer w;
     w.put_u64(1);
     w.put_bytes(value);
-    huge.encode(w);
+    wire::put(w, huge);
     w.put_u32(66);
     auto sig = signer.sign(
         baselines::bqs_value_statement(1, huge, crypto::sha256(value)));

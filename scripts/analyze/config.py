@@ -26,10 +26,10 @@ class Config:
             r"::decode",
             r"\bdecode",
             r"Reader::get_(u8|u16|u32|u64|varint|bool|bytes|string|raw)",
-            r"::get_cert",
-            r"\bget_cert",
+            # util/codec.h's field-list codec: one field in its wire form
+            # (Message<T>::decode is matched by ::decode above).
+            r"wire::get",
             r"::decode_signature_set",
-            r"::decode_optional_wcert",
         ]
     )
     # Sources returning std::optional whose verdict must be consulted.

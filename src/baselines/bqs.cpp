@@ -6,12 +6,8 @@ namespace bftbc::baselines {
 
 Bytes bqs_value_statement(ObjectId object, const Timestamp& ts,
                           const crypto::Digest& value_hash) {
-  Writer w;
-  w.put_u8(0x20);  // domain tag distinct from BFT-BC statements
-  w.put_u64(object);
-  ts.encode(w);
-  w.put_raw(crypto::digest_view(value_hash));
-  return std::move(w).take();
+  // 0x20: a domain tag distinct from BFT-BC statements.
+  return wire::encode(std::uint8_t{0x20}, object, ts, value_hash);
 }
 
 bool BqsEntry::verify(ObjectId object, const crypto::Keystore& ks) const {
@@ -22,182 +18,72 @@ bool BqsEntry::verify(ObjectId object, const crypto::Keystore& ks) const {
 
 namespace {
 
-// Wire formats (local to the BQS baseline).
+// Wire formats (local to the BQS baseline), one field list each
+// (util/codec.h).
 
-struct BqsReadTsReq {
+struct BqsReadTsReq : wire::Message<BqsReadTsReq> {
   ObjectId object = 0;
   crypto::Nonce nonce;
-  Bytes encode() const {
-    Writer w;
-    w.put_u64(object);
-    nonce.encode(w);
-    return std::move(w).take();
-  }
-  static std::optional<BqsReadTsReq> decode(BytesView b) {
-    Reader r(b);
-    BqsReadTsReq m;
-    m.object = r.get_u64();
-    m.nonce = crypto::Nonce::decode(r);
-    if (!r.done()) return std::nullopt;
-    return m;
-  }
+  static auto fields(auto& m) { return std::tie(m.object, m.nonce); }
 };
 
-struct BqsReadTsRep {
+struct BqsReadTsRep : wire::Message<BqsReadTsRep> {
   ObjectId object = 0;
   crypto::Nonce nonce;
   Timestamp ts;
   ReplicaId replica = 0;
   Bytes auth;
+  static auto fields(auto& m) {
+    return std::tie(m.object, m.nonce, m.ts, m.replica, m.auth);
+  }
   Bytes signing_payload() const {
-    Writer w;
-    w.put_u8(0x21);
-    w.put_u64(object);
-    nonce.encode(w);
-    ts.encode(w);
-    return std::move(w).take();
-  }
-  Bytes encode() const {
-    Writer w;
-    w.put_u64(object);
-    nonce.encode(w);
-    ts.encode(w);
-    w.put_u32(replica);
-    w.put_bytes(auth);
-    return std::move(w).take();
-  }
-  static std::optional<BqsReadTsRep> decode(BytesView b) {
-    Reader r(b);
-    BqsReadTsRep m;
-    m.object = r.get_u64();
-    m.nonce = crypto::Nonce::decode(r);
-    m.ts = Timestamp::decode(r);
-    m.replica = r.get_u32();
-    m.auth = r.get_bytes();
-    if (!r.done()) return std::nullopt;
-    return m;
+    return wire::encode(std::uint8_t{0x21}, object, nonce, ts);
   }
 };
 
-struct BqsWriteReq {
+struct BqsWriteReq : wire::Message<BqsWriteReq> {
   ObjectId object = 0;
   Bytes value;
   Timestamp ts;
   ClientId client = 0;
   Bytes sig;  // over bqs_value_statement
-  Bytes encode() const {
-    Writer w;
-    w.put_u64(object);
-    w.put_bytes(value);
-    ts.encode(w);
-    w.put_u32(client);
-    w.put_bytes(sig);
-    return std::move(w).take();
-  }
-  static std::optional<BqsWriteReq> decode(BytesView b) {
-    Reader r(b);
-    BqsWriteReq m;
-    m.object = r.get_u64();
-    m.value = r.get_bytes();
-    m.ts = Timestamp::decode(r);
-    m.client = r.get_u32();
-    m.sig = r.get_bytes();
-    if (!r.done()) return std::nullopt;
-    return m;
+  static auto fields(auto& m) {
+    return std::tie(m.object, m.value, m.ts, m.client, m.sig);
   }
 };
 
-struct BqsWriteRep {
+struct BqsWriteRep : wire::Message<BqsWriteRep> {
   ObjectId object = 0;
   Timestamp ts;
   ReplicaId replica = 0;
   Bytes auth;
+  static auto fields(auto& m) {
+    return std::tie(m.object, m.ts, m.replica, m.auth);
+  }
   Bytes signing_payload() const {
-    Writer w;
-    w.put_u8(0x22);
-    w.put_u64(object);
-    ts.encode(w);
-    return std::move(w).take();
-  }
-  Bytes encode() const {
-    Writer w;
-    w.put_u64(object);
-    ts.encode(w);
-    w.put_u32(replica);
-    w.put_bytes(auth);
-    return std::move(w).take();
-  }
-  static std::optional<BqsWriteRep> decode(BytesView b) {
-    Reader r(b);
-    BqsWriteRep m;
-    m.object = r.get_u64();
-    m.ts = Timestamp::decode(r);
-    m.replica = r.get_u32();
-    m.auth = r.get_bytes();
-    if (!r.done()) return std::nullopt;
-    return m;
+    return wire::encode(std::uint8_t{0x22}, object, ts);
   }
 };
 
-struct BqsReadReq {
+struct BqsReadReq : wire::Message<BqsReadReq> {
   ObjectId object = 0;
   crypto::Nonce nonce;
-  Bytes encode() const {
-    Writer w;
-    w.put_u64(object);
-    nonce.encode(w);
-    return std::move(w).take();
-  }
-  static std::optional<BqsReadReq> decode(BytesView b) {
-    Reader r(b);
-    BqsReadReq m;
-    m.object = r.get_u64();
-    m.nonce = crypto::Nonce::decode(r);
-    if (!r.done()) return std::nullopt;
-    return m;
-  }
+  static auto fields(auto& m) { return std::tie(m.object, m.nonce); }
 };
 
-struct BqsReadRep {
+struct BqsReadRep : wire::Message<BqsReadRep> {
   ObjectId object = 0;
   crypto::Nonce nonce;
   BqsEntry entry;
   ReplicaId replica = 0;
   Bytes auth;
+  static auto fields(auto& m) {
+    return std::tie(m.object, m.nonce, m.entry.value, m.entry.ts,
+                    m.entry.writer, m.entry.writer_sig, m.replica, m.auth);
+  }
   Bytes signing_payload() const {
-    Writer w;
-    w.put_u8(0x23);
-    w.put_u64(object);
-    nonce.encode(w);
-    entry.ts.encode(w);
-    w.put_raw(crypto::digest_view(crypto::sha256(entry.value)));
-    return std::move(w).take();
-  }
-  Bytes encode() const {
-    Writer w;
-    w.put_u64(object);
-    nonce.encode(w);
-    w.put_bytes(entry.value);
-    entry.ts.encode(w);
-    w.put_u32(entry.writer);
-    w.put_bytes(entry.writer_sig);
-    w.put_u32(replica);
-    w.put_bytes(auth);
-    return std::move(w).take();
-  }
-  static std::optional<BqsReadRep> decode(BytesView b) {
-    Reader r(b);
-    BqsReadRep m;
-    m.object = r.get_u64();
-    m.nonce = crypto::Nonce::decode(r);
-    m.entry.value = r.get_bytes();
-    m.entry.ts = Timestamp::decode(r);
-    m.entry.writer = r.get_u32();
-    m.entry.writer_sig = r.get_bytes();
-    m.replica = r.get_u32();
-    m.auth = r.get_bytes();
-    if (!r.done()) return std::nullopt;
-    return m;
+    return wire::encode(std::uint8_t{0x23}, object, nonce, entry.ts,
+                        crypto::sha256(entry.value));
   }
 };
 

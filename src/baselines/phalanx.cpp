@@ -6,129 +6,52 @@ namespace bftbc::baselines {
 
 namespace {
 
-// Wire formats local to the Phalanx baseline. The echo round reuses the
-// kPhalanxWrite envelope type with an is_echo flag.
+// Wire formats local to the Phalanx baseline, one field list each
+// (util/codec.h). The echo round reuses the kPhalanxWrite envelope type
+// with an is_echo flag.
 
-struct PhxWriteMsg {
+struct PhxWriteMsg : wire::Message<PhxWriteMsg> {
   ObjectId object = 0;
   Bytes value;
   Timestamp ts;
   bool is_echo = false;
   ReplicaId echoer = 0;  // meaningful when is_echo
-
-  Bytes encode() const {
-    Writer w;
-    w.put_u64(object);
-    w.put_bytes(value);
-    ts.encode(w);
-    w.put_bool(is_echo);
-    w.put_u32(echoer);
-    return std::move(w).take();
-  }
-  static std::optional<PhxWriteMsg> decode(BytesView b) {
-    Reader r(b);
-    PhxWriteMsg m;
-    m.object = r.get_u64();
-    m.value = r.get_bytes();
-    m.ts = Timestamp::decode(r);
-    m.is_echo = r.get_bool();
-    m.echoer = r.get_u32();
-    if (!r.done()) return std::nullopt;
-    return m;
+  static auto fields(auto& m) {
+    return std::tie(m.object, m.value, m.ts, m.is_echo, m.echoer);
   }
 };
 
-struct PhxAck {
+struct PhxAck : wire::Message<PhxAck> {
   ObjectId object = 0;
   Timestamp ts;
   ReplicaId replica = 0;
-  Bytes encode() const {
-    Writer w;
-    w.put_u64(object);
-    ts.encode(w);
-    w.put_u32(replica);
-    return std::move(w).take();
-  }
-  static std::optional<PhxAck> decode(BytesView b) {
-    Reader r(b);
-    PhxAck m;
-    m.object = r.get_u64();
-    m.ts = Timestamp::decode(r);
-    m.replica = r.get_u32();
-    if (!r.done()) return std::nullopt;
-    return m;
-  }
+  static auto fields(auto& m) { return std::tie(m.object, m.ts, m.replica); }
 };
 
-struct PhxReadTsReq {
+struct PhxReadTsReq : wire::Message<PhxReadTsReq> {
   ObjectId object = 0;
   crypto::Nonce nonce;
-  Bytes encode() const {
-    Writer w;
-    w.put_u64(object);
-    nonce.encode(w);
-    return std::move(w).take();
-  }
-  static std::optional<PhxReadTsReq> decode(BytesView b) {
-    Reader r(b);
-    PhxReadTsReq m;
-    m.object = r.get_u64();
-    m.nonce = crypto::Nonce::decode(r);
-    if (!r.done()) return std::nullopt;
-    return m;
-  }
+  static auto fields(auto& m) { return std::tie(m.object, m.nonce); }
 };
 
-struct PhxReadTsRep {
+struct PhxReadTsRep : wire::Message<PhxReadTsRep> {
   ObjectId object = 0;
   crypto::Nonce nonce;
   Timestamp ts;
   ReplicaId replica = 0;
-  Bytes encode() const {
-    Writer w;
-    w.put_u64(object);
-    nonce.encode(w);
-    ts.encode(w);
-    w.put_u32(replica);
-    return std::move(w).take();
-  }
-  static std::optional<PhxReadTsRep> decode(BytesView b) {
-    Reader r(b);
-    PhxReadTsRep m;
-    m.object = r.get_u64();
-    m.nonce = crypto::Nonce::decode(r);
-    m.ts = Timestamp::decode(r);
-    m.replica = r.get_u32();
-    if (!r.done()) return std::nullopt;
-    return m;
+  static auto fields(auto& m) {
+    return std::tie(m.object, m.nonce, m.ts, m.replica);
   }
 };
 
-struct PhxReadRep {
+struct PhxReadRep : wire::Message<PhxReadRep> {
   ObjectId object = 0;
   crypto::Nonce nonce;
   Bytes value;
   Timestamp ts;
   ReplicaId replica = 0;
-  Bytes encode() const {
-    Writer w;
-    w.put_u64(object);
-    nonce.encode(w);
-    w.put_bytes(value);
-    ts.encode(w);
-    w.put_u32(replica);
-    return std::move(w).take();
-  }
-  static std::optional<PhxReadRep> decode(BytesView b) {
-    Reader r(b);
-    PhxReadRep m;
-    m.object = r.get_u64();
-    m.nonce = crypto::Nonce::decode(r);
-    m.value = r.get_bytes();
-    m.ts = Timestamp::decode(r);
-    m.replica = r.get_u32();
-    if (!r.done()) return std::nullopt;
-    return m;
+  static auto fields(auto& m) {
+    return std::tie(m.object, m.nonce, m.value, m.ts, m.replica);
   }
 };
 

@@ -6,146 +6,57 @@ namespace bftbc::baselines {
 
 namespace {
 
-// Wire formats local to the SBQ-L baseline.
+// Wire formats local to the SBQ-L baseline, one field list each
+// (util/codec.h).
 
-struct SbqlTsMsg {  // READ-TS request/READ request (object + nonce)
+struct SbqlTsMsg : wire::Message<SbqlTsMsg> {  // READ-TS / READ request
   ObjectId object = 0;
   crypto::Nonce nonce;
-  Bytes encode() const {
-    Writer w;
-    w.put_u64(object);
-    nonce.encode(w);
-    return std::move(w).take();
-  }
-  static std::optional<SbqlTsMsg> decode(BytesView b) {
-    Reader r(b);
-    SbqlTsMsg m;
-    m.object = r.get_u64();
-    m.nonce = crypto::Nonce::decode(r);
-    if (!r.done()) return std::nullopt;
-    return m;
-  }
+  static auto fields(auto& m) { return std::tie(m.object, m.nonce); }
 };
 
-struct SbqlTsRep {
+struct SbqlTsRep : wire::Message<SbqlTsRep> {
   ObjectId object = 0;
   crypto::Nonce nonce;
   Timestamp ts;
   ReplicaId replica = 0;
-  Bytes encode() const {
-    Writer w;
-    w.put_u64(object);
-    nonce.encode(w);
-    ts.encode(w);
-    w.put_u32(replica);
-    return std::move(w).take();
-  }
-  static std::optional<SbqlTsRep> decode(BytesView b) {
-    Reader r(b);
-    SbqlTsRep m;
-    m.object = r.get_u64();
-    m.nonce = crypto::Nonce::decode(r);
-    m.ts = Timestamp::decode(r);
-    m.replica = r.get_u32();
-    if (!r.done()) return std::nullopt;
-    return m;
+  static auto fields(auto& m) {
+    return std::tie(m.object, m.nonce, m.ts, m.replica);
   }
 };
 
-struct SbqlWriteMsg {
+struct SbqlWriteMsg : wire::Message<SbqlWriteMsg> {
   ObjectId object = 0;
   Bytes value;
   Timestamp ts;
-  Bytes encode() const {
-    Writer w;
-    w.put_u64(object);
-    w.put_bytes(value);
-    ts.encode(w);
-    return std::move(w).take();
-  }
-  static std::optional<SbqlWriteMsg> decode(BytesView b) {
-    Reader r(b);
-    SbqlWriteMsg m;
-    m.object = r.get_u64();
-    m.value = r.get_bytes();
-    m.ts = Timestamp::decode(r);
-    if (!r.done()) return std::nullopt;
-    return m;
-  }
+  static auto fields(auto& m) { return std::tie(m.object, m.value, m.ts); }
 };
 
-struct SbqlAck {
+struct SbqlAck : wire::Message<SbqlAck> {
   ObjectId object = 0;
   Timestamp ts;
   ReplicaId replica = 0;
-  Bytes encode() const {
-    Writer w;
-    w.put_u64(object);
-    ts.encode(w);
-    w.put_u32(replica);
-    return std::move(w).take();
-  }
-  static std::optional<SbqlAck> decode(BytesView b) {
-    Reader r(b);
-    SbqlAck m;
-    m.object = r.get_u64();
-    m.ts = Timestamp::decode(r);
-    m.replica = r.get_u32();
-    if (!r.done()) return std::nullopt;
-    return m;
-  }
+  static auto fields(auto& m) { return std::tie(m.object, m.ts, m.replica); }
 };
 
-struct SbqlForwardMsg {
+struct SbqlForwardMsg : wire::Message<SbqlForwardMsg> {
   std::uint64_t seq = 0;  // per-sender sequence for acking
   ObjectId object = 0;
   Bytes value;
   Timestamp ts;
-  Bytes encode() const {
-    Writer w;
-    w.put_u64(seq);
-    w.put_u64(object);
-    w.put_bytes(value);
-    ts.encode(w);
-    return std::move(w).take();
-  }
-  static std::optional<SbqlForwardMsg> decode(BytesView b) {
-    Reader r(b);
-    SbqlForwardMsg m;
-    m.seq = r.get_u64();
-    m.object = r.get_u64();
-    m.value = r.get_bytes();
-    m.ts = Timestamp::decode(r);
-    if (!r.done()) return std::nullopt;
-    return m;
+  static auto fields(auto& m) {
+    return std::tie(m.seq, m.object, m.value, m.ts);
   }
 };
 
-struct SbqlReadRep {
+struct SbqlReadRep : wire::Message<SbqlReadRep> {
   ObjectId object = 0;
   crypto::Nonce nonce;
   Bytes value;
   Timestamp ts;
   ReplicaId replica = 0;
-  Bytes encode() const {
-    Writer w;
-    w.put_u64(object);
-    nonce.encode(w);
-    w.put_bytes(value);
-    ts.encode(w);
-    w.put_u32(replica);
-    return std::move(w).take();
-  }
-  static std::optional<SbqlReadRep> decode(BytesView b) {
-    Reader r(b);
-    SbqlReadRep m;
-    m.object = r.get_u64();
-    m.nonce = crypto::Nonce::decode(r);
-    m.value = r.get_bytes();
-    m.ts = Timestamp::decode(r);
-    m.replica = r.get_u32();
-    if (!r.done()) return std::nullopt;
-    return m;
+  static auto fields(auto& m) {
+    return std::tie(m.object, m.nonce, m.value, m.ts, m.replica);
   }
 };
 

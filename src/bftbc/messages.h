@@ -1,10 +1,13 @@
 // BFT-BC wire message bodies (paper §3.2, Figures 1–2, and §6.2).
 //
-// Each struct mirrors one message of the protocol. Structs carry their
-// own encode/decode plus, where the paper requires authentication, a
-// `signing_payload()` that returns the exact bytes the sender signs.
-// Signing payloads are domain-separated by an AuthTag so a signature can
-// never be replayed across message kinds.
+// Each struct mirrors one message of the protocol and lists its fields
+// once, in wire order; wire::Message (util/codec.h) derives its encode()
+// and decode() from that list. Where the paper requires authentication,
+// a hand-written `signing_payload()` returns the exact bytes the sender
+// signs: a signed statement, not the wire layout (WRITE and READ-REPLY
+// sign h(value), READ-TS-PREP leaves out its nonce). Signing payloads are
+// domain-separated by an AuthTag so a signature can never be replayed
+// across message kinds.
 //
 // Authentication inventory (§3.3.2):
 //  - PREPARE-REPLY and WRITE-REPLY carry *public-key* signatures over
@@ -47,19 +50,18 @@ enum class AuthTag : std::uint8_t {
 // ---------------------------------------------------------------------
 // Write phase 1: 〈READ-TS, nonce〉  (unauthenticated request)
 
-struct ReadTsRequest {
+struct ReadTsRequest : wire::Message<ReadTsRequest> {
   ObjectId object = 0;
   crypto::Nonce nonce;
 
-  Bytes encode() const;
-  static std::optional<ReadTsRequest> decode(BytesView b);
+  static auto fields(auto& m) { return std::tie(m.object, m.nonce); }
 };
 
 // 〈READ-TS-REPLY, Pcert, nonce〉σr. In strong mode (§7) the reply also
 // carries the replica's signature over the WRITE-REPLY statement for
 // Pcert.ts, letting a client whose phase-1 replies all agree assemble a
 // write certificate without extra communication.
-struct ReadTsReply {
+struct ReadTsReply : wire::Message<ReadTsReply> {
   ObjectId object = 0;
   crypto::Nonce nonce;
   PrepareCertificate pcert;
@@ -67,15 +69,17 @@ struct ReadTsReply {
   ReplicaId replica = 0;
   Bytes auth;  // point-to-point authenticator by the replica
 
+  static auto fields(auto& m) {
+    return std::tie(m.object, m.nonce, m.pcert, m.strong_write_sig,
+                    m.replica, m.auth);
+  }
   Bytes signing_payload() const;
-  Bytes encode() const;
-  static std::optional<ReadTsReply> decode(BytesView b);
 };
 
 // ---------------------------------------------------------------------
 // Write phase 2: 〈PREPARE, Pmax, t, h(val), Wcert〉σc
 
-struct PrepareRequest {
+struct PrepareRequest : wire::Message<PrepareRequest> {
   ObjectId object = 0;
   Timestamp t;
   crypto::Digest hash{};
@@ -84,48 +88,53 @@ struct PrepareRequest {
   quorum::ClientId client = 0;
   Bytes sig;
 
+  static auto fields(auto& m) {
+    return std::tie(m.object, m.t, m.hash, m.prep_cert, m.write_cert,
+                    m.client, m.sig);
+  }
   Bytes signing_payload() const;
-  Bytes encode() const;
-  static std::optional<PrepareRequest> decode(BytesView b);
 };
 
 // 〈PREPARE-REPLY, t, h〉σr — a certificate component; sig covers the
 // statement bytes from quorum/statements.h.
-struct PrepareReply {
+struct PrepareReply : wire::Message<PrepareReply> {
   ObjectId object = 0;
   Timestamp t;
   crypto::Digest hash{};
   ReplicaId replica = 0;
   Bytes sig;
 
-  Bytes encode() const;
-  static std::optional<PrepareReply> decode(BytesView b);
+  static auto fields(auto& m) {
+    return std::tie(m.object, m.t, m.hash, m.replica, m.sig);
+  }
 };
 
 // ---------------------------------------------------------------------
 // Write phase 3: 〈WRITE, val, Pnew〉σc
 
-struct WriteRequest {
+struct WriteRequest : wire::Message<WriteRequest> {
   ObjectId object = 0;
   Bytes value;
   PrepareCertificate prep_cert;  // Pnew
   quorum::ClientId client = 0;   // the signer (reader during write-back)
   Bytes sig;
 
+  static auto fields(auto& m) {
+    return std::tie(m.object, m.value, m.prep_cert, m.client, m.sig);
+  }
   Bytes signing_payload() const;
-  Bytes encode() const;
-  static std::optional<WriteRequest> decode(BytesView b);
 };
 
 // 〈WRITE-REPLY, t〉σr — certificate component.
-struct WriteReply {
+struct WriteReply : wire::Message<WriteReply> {
   ObjectId object = 0;
   Timestamp ts;
   ReplicaId replica = 0;
   Bytes sig;
 
-  Bytes encode() const;
-  static std::optional<WriteReply> decode(BytesView b);
+  static auto fields(auto& m) {
+    return std::tie(m.object, m.ts, m.replica, m.sig);
+  }
 };
 
 // ---------------------------------------------------------------------
@@ -137,18 +146,19 @@ struct WriteReply {
 // requests"); replicas absorb it for prepare-list GC exactly as in
 // phase 2. Enabled by ClientOptions::gc_in_reads (ablated in bench E5).
 
-struct ReadRequest {
+struct ReadRequest : wire::Message<ReadRequest> {
   ObjectId object = 0;
   crypto::Nonce nonce;
   std::optional<WriteCertificate> write_cert;
 
-  Bytes encode() const;
-  static std::optional<ReadRequest> decode(BytesView b);
+  static auto fields(auto& m) {
+    return std::tie(m.object, m.nonce, m.write_cert);
+  }
 };
 
 // Reply with value, prepare certificate, and nonce, authenticated by the
 // replica (point-to-point).
-struct ReadReply {
+struct ReadReply : wire::Message<ReadReply> {
   ObjectId object = 0;
   Bytes value;
   PrepareCertificate pcert;
@@ -156,15 +166,17 @@ struct ReadReply {
   ReplicaId replica = 0;
   Bytes auth;
 
+  static auto fields(auto& m) {
+    return std::tie(m.object, m.value, m.pcert, m.nonce, m.replica,
+                    m.auth);
+  }
   Bytes signing_payload() const;
-  Bytes encode() const;
-  static std::optional<ReadReply> decode(BytesView b);
 };
 
 // ---------------------------------------------------------------------
 // Optimized write phase 1 (§6.2): 〈READ-TS-PREP, h, Wcert〉σc
 
-struct ReadTsPrepRequest {
+struct ReadTsPrepRequest : wire::Message<ReadTsPrepRequest> {
   ObjectId object = 0;
   crypto::Digest hash{};
   std::optional<WriteCertificate> write_cert;
@@ -172,9 +184,11 @@ struct ReadTsPrepRequest {
   quorum::ClientId client = 0;
   Bytes sig;
 
+  static auto fields(auto& m) {
+    return std::tie(m.object, m.hash, m.write_cert, m.nonce, m.client,
+                    m.sig);
+  }
   Bytes signing_payload() const;
-  Bytes encode() const;
-  static std::optional<ReadTsPrepRequest> decode(BytesView b);
 };
 
 // Reply: always the replica's current Pcert (the normal phase-1 answer);
@@ -182,7 +196,7 @@ struct ReadTsPrepRequest {
 // timestamp and the PREPARE-REPLY statement signature for (t', h) —
 // exactly the component a prepare certificate needs. Strong mode also
 // piggybacks the write-statement signature as in ReadTsReply.
-struct ReadTsPrepReply {
+struct ReadTsPrepReply : wire::Message<ReadTsPrepReply> {
   ObjectId object = 0;
   crypto::Nonce nonce;
   PrepareCertificate pcert;
@@ -194,9 +208,12 @@ struct ReadTsPrepReply {
   ReplicaId replica = 0;
   Bytes auth;
 
+  static auto fields(auto& m) {
+    return std::tie(m.object, m.nonce, m.pcert, m.prepared,
+                    m.predicted_t, m.hash, m.prepare_sig,
+                    m.strong_write_sig, m.replica, m.auth);
+  }
   Bytes signing_payload() const;
-  Bytes encode() const;
-  static std::optional<ReadTsPrepReply> decode(BytesView b);
 };
 
 // ---------------------------------------------------------------------
@@ -211,14 +228,13 @@ struct ReadTsPrepReply {
 // component signatures (PREPARE-REPLY / WRITE-REPLY statements) are
 // shown to third parties and are never amortized this way.
 
-struct ReplyBatch {
+struct ReplyBatch : wire::Message<ReplyBatch> {
   ReplicaId replica = 0;
   std::vector<Bytes> replies;  // encoded rpc::Envelopes
   Bytes auth;                  // point-to-point authenticator by the replica
 
+  static auto fields(auto& m) { return std::tie(m.replica, m.replies, m.auth); }
   Bytes signing_payload() const;
-  Bytes encode() const;
-  static std::optional<ReplyBatch> decode(BytesView b);
 };
 
 // ---------------------------------------------------------------------
@@ -232,31 +248,25 @@ struct ReplyBatch {
 // certified prepare is held by at least f+1 correct replicas, so it
 // shows up in any 2f+1 replies).
 
-struct StateXferRequest {
+struct StateXferRequest : wire::Message<StateXferRequest> {
   ObjectId object = 0;
   crypto::Nonce nonce;
 
-  Bytes encode() const;
-  static std::optional<StateXferRequest> decode(BytesView b);
+  static auto fields(auto& m) { return std::tie(m.object, m.nonce); }
 };
 
 // Reply carrying the replica's full serialized ObjectState (value,
 // Pcert, both prepare lists, last write ts) as an opaque blob the
 // recovering replica decodes and cross-validates against the quorum.
-struct StateXferReply {
+struct StateXferReply : wire::Message<StateXferReply> {
   ObjectId object = 0;
   crypto::Nonce nonce;
   Bytes state;  // ObjectState::encode blob
   ReplicaId replica = 0;
 
-  Bytes encode() const;
-  static std::optional<StateXferReply> decode(BytesView b);
+  static auto fields(auto& m) {
+    return std::tie(m.object, m.nonce, m.state, m.replica);
+  }
 };
-
-// ---------------------------------------------------------------------
-// Helpers shared by encode/decode implementations.
-
-void encode_optional_wcert(Writer& w, const std::optional<WriteCertificate>& c);
-std::optional<WriteCertificate> decode_optional_wcert(Reader& r);
 
 }  // namespace bftbc::core

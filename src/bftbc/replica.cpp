@@ -123,13 +123,7 @@ void Replica::flush_replies() {
     env.type = rpc::MsgType::kReplyBatch;
     env.sender = quorum::replica_principal(id_);
     env.body = rb.encode();
-    const sim::Time delay = charge_processing(cost);
-    if (delay == 0) {
-      transport_.send(to, env);
-    } else {
-      sim_.schedule(delay,
-                    [this, to, env = std::move(env)] { transport_.send(to, env); });
-    }
+    send_after(to, std::move(env), cost);
   }
 }
 
@@ -226,8 +220,8 @@ void Replica::absorb_and_gc(ObjectState& state, const Timestamp& wcert_ts) {
   // timestamp can never be needed again: the certificate proves those
   // writes completed, and write_ts now rejects their prepares anyway.
   const ObjectId object = state.object();
-  const auto begin = write_sig_cache_.lower_bound(
-      std::make_pair(object, std::make_pair(std::uint64_t{0}, ClientId{0})));
+  const auto begin =
+      write_sig_cache_.lower_bound(write_sig_key(object, Timestamp::zero()));
   std::size_t dropped_sigs = 0;
   for (auto it = begin;
        it != write_sig_cache_.end() && it->first.first == object;) {
@@ -315,6 +309,11 @@ void Replica::reply(sim::NodeId to, rpc::MsgType type, std::uint64_t rpc_id,
         PendingReply{to, std::move(env), processing_cost});
     return;
   }
+  send_after(to, std::move(env), processing_cost);
+}
+
+void Replica::send_after(sim::NodeId to, rpc::Envelope env,
+                         sim::Time processing_cost) {
   const sim::Time delay = charge_processing(processing_cost);
   if (delay == 0) {
     transport_.send(to, env);
@@ -343,10 +342,27 @@ Bytes Replica::p2p_auth(crypto::PrincipalId to, BytesView payload,
   return sig.is_ok() ? std::move(sig).take() : Bytes{};
 }
 
+Replica::WriteSigKey Replica::write_sig_key(ObjectId object,
+                                            const Timestamp& ts) {
+  return {object, {ts.val, ts.id}};
+}
+
+void Replica::presign_write_reply(ObjectId object, const Timestamp& ts) {
+  // §3.3.2: precompute the phase-3 response signature now, off the
+  // critical path, so the WRITE reply is immediate.
+  if (!options_.background_write_sigs) return;
+  const WriteSigKey key = write_sig_key(object, ts);
+  if (write_sig_cache_.find(key) != write_sig_cache_.end()) return;
+  auto sig = signer_.sign(quorum::write_reply_statement(object, ts));
+  if (sig.is_ok()) {
+    write_sig_cache_[key] = std::move(sig).take();
+    metrics_.inc("sig_background");
+  }
+}
+
 Bytes Replica::write_sig_for(ObjectId object, const Timestamp& ts,
                              sim::Time& cost) {
-  const auto key = std::make_pair(object, std::make_pair(ts.val, ts.id));
-  auto it = write_sig_cache_.find(key);
+  auto it = write_sig_cache_.find(write_sig_key(object, ts));
   if (it != write_sig_cache_.end()) {
     metrics_.inc("sig_background_hit");
     return it->second;
@@ -373,18 +389,10 @@ bool Replica::verify_client_sig(quorum::ClientId client, BytesView payload,
   return keystore_.verify_cached(quorum::client_principal(client), payload, sig);
 }
 
-bool Replica::valid_prepare_cert(const PrepareCertificate& cert,
-                                 ObjectId object, sim::Time& cost) {
+template <typename Cert>
+bool Replica::valid_cert(const Cert& cert, ObjectId object, sim::Time& cost) {
   if (cert.object() != object) return false;
   // Verifying a certificate = up to q signature verifications.
-  cost += options_.verify_cost * cert.signatures().size();
-  metrics_.inc("verify_cert");
-  return cert.validate(config_, keystore_).is_ok();
-}
-
-bool Replica::valid_write_cert(const WriteCertificate& cert, ObjectId object,
-                               sim::Time& cost) {
-  if (cert.object() != object) return false;
   cost += options_.verify_cost * cert.signatures().size();
   metrics_.inc("verify_cert");
   return cert.validate(config_, keystore_).is_ok();
@@ -447,12 +455,12 @@ void Replica::handle_prepare(sim::NodeId from, const rpc::Envelope& env) {
     dropped("drop_bad_auth");
     return;
   }
-  if (!valid_prepare_cert(req->prep_cert, req->object, cost)) {
+  if (!valid_cert(req->prep_cert, req->object, cost)) {
     dropped("drop_bad_cert");
     return;
   }
   if (req->write_cert.has_value() &&
-      !valid_write_cert(*req->write_cert, req->object, cost)) {
+      !valid_cert(*req->write_cert, req->object, cost)) {
     dropped("drop_bad_cert");
     return;
   }
@@ -492,21 +500,7 @@ void Replica::handle_prepare(sim::NodeId from, const rpc::Envelope& env) {
   rep.replica = id_;
   rep.sig = sign_statement_foreground(
       quorum::prepare_reply_statement(req->object, req->t, req->hash), cost);
-
-  if (options_.background_write_sigs) {
-    // §3.3.2: precompute the phase-3 response signature now, off the
-    // critical path, so the WRITE reply is immediate.
-    const auto key = std::make_pair(
-        req->object, std::make_pair(req->t.val, req->t.id));
-    if (write_sig_cache_.find(key) == write_sig_cache_.end()) {
-      auto sig = signer_.sign(
-          quorum::write_reply_statement(req->object, req->t));
-      if (sig.is_ok()) {
-        write_sig_cache_[key] = std::move(sig).take();
-        metrics_.inc("sig_background");
-      }
-    }
-  }
+  presign_write_reply(req->object, req->t);
 
   granted("reply_prepare");
   reply(from, rpc::MsgType::kPrepareReply, env.rpc_id, rep.encode(), cost);
@@ -529,7 +523,7 @@ void Replica::handle_write(sim::NodeId from, const rpc::Envelope& env) {
     dropped("drop_bad_auth");
     return;
   }
-  if (!valid_prepare_cert(req->prep_cert, req->object, cost)) {
+  if (!valid_cert(req->prep_cert, req->object, cost)) {
     dropped("drop_bad_cert");
     return;
   }
@@ -581,7 +575,7 @@ void Replica::handle_read(sim::NodeId from, const rpc::Envelope& env) {
   // ignored (the read itself is still served — reads are answered
   // unconditionally).
   if (req->write_cert.has_value() &&
-      valid_write_cert(*req->write_cert, req->object, cost)) {
+      valid_cert(*req->write_cert, req->object, cost)) {
     absorb_and_gc(state, req->write_cert->ts());
     metrics_.inc("gc_via_read");
   }
@@ -756,7 +750,7 @@ void Replica::handle_read_ts_prep(sim::NodeId from, const rpc::Envelope& env) {
     return;
   }
   if (req->write_cert.has_value()) {
-    if (!valid_write_cert(*req->write_cert, req->object, cost)) {
+    if (!valid_cert(*req->write_cert, req->object, cost)) {
       dropped("drop_bad_cert");
       return;
     }
@@ -788,18 +782,7 @@ void Replica::handle_read_ts_prep(sim::NodeId from, const rpc::Envelope& env) {
     rep.prepare_sig = sign_statement_foreground(
         quorum::prepare_reply_statement(req->object, *predicted, req->hash),
         cost);
-    if (options_.background_write_sigs) {
-      const auto key = std::make_pair(
-          req->object, std::make_pair(predicted->val, predicted->id));
-      if (write_sig_cache_.find(key) == write_sig_cache_.end()) {
-        auto sig = signer_.sign(
-            quorum::write_reply_statement(req->object, *predicted));
-        if (sig.is_ok()) {
-          write_sig_cache_[key] = std::move(sig).take();
-          metrics_.inc("sig_background");
-        }
-      }
-    }
+    presign_write_reply(req->object, *predicted);
     granted("reply_read_ts_prep_prepared");
   } else {
     granted("reply_read_ts_prep_fallback");

@@ -199,6 +199,9 @@ class Replica {
   // replicas can tamper with outgoing bytes.
   virtual void reply(sim::NodeId to, rpc::MsgType type, std::uint64_t rpc_id,
                      Bytes body, sim::Time processing_cost);
+  // Charges `processing_cost`, then sends `env` now or once it is paid.
+  void send_after(sim::NodeId to, rpc::Envelope env,
+                  sim::Time processing_cost);
 
   // Converts a processing cost into the reply's actual delay. Classic
   // model: the cost itself (infinite parallelism). serialize_processing:
@@ -213,7 +216,13 @@ class Replica {
   // a signature otherwise.
   Bytes p2p_auth(crypto::PrincipalId to, BytesView payload, sim::Time& cost);
 
-  // Background-signature cache for WRITE-REPLY statements.
+  // Background-signature cache for WRITE-REPLY statements: with
+  // background_write_sigs, presign_write_reply signs (object, ts)'s
+  // statement while the prepare is handled, and write_sig_for serves it
+  // (or signs in the foreground on a miss).
+  using WriteSigKey = std::pair<ObjectId, std::pair<std::uint64_t, ClientId>>;
+  static WriteSigKey write_sig_key(ObjectId object, const Timestamp& ts);
+  void presign_write_reply(ObjectId object, const Timestamp& ts);
   Bytes write_sig_for(ObjectId object, const Timestamp& ts, sim::Time& cost);
 
   // Metrics helpers: every handled request ends in exactly one of these.
@@ -229,10 +238,10 @@ class Replica {
   [[nodiscard]] bool verify_client_sig(quorum::ClientId client,
                                        BytesView payload, BytesView sig,
                                        sim::Time& cost);
-  [[nodiscard]] bool valid_prepare_cert(const PrepareCertificate& cert,
-                                        ObjectId object, sim::Time& cost);
-  [[nodiscard]] bool valid_write_cert(const WriteCertificate& cert,
-                                      ObjectId object, sim::Time& cost);
+  // A prepare or write certificate for `object`, charged per signature.
+  template <typename Cert>
+  [[nodiscard]] bool valid_cert(const Cert& cert, ObjectId object,
+                                sim::Time& cost);
 
   quorum::QuorumConfig config_;
   ReplicaId id_;
@@ -264,8 +273,7 @@ class Replica {
   std::list<ObjectId> lru_;
   std::map<ObjectId, std::list<ObjectId>::iterator> lru_pos_;
   // (object, ts) → precomputed WRITE-REPLY signature.
-  std::map<std::pair<ObjectId, std::pair<std::uint64_t, ClientId>>, Bytes>
-      write_sig_cache_;
+  std::map<WriteSigKey, Bytes> write_sig_cache_;
   std::set<quorum::ClientId> acl_;
   Counters metrics_;
 

@@ -97,8 +97,8 @@ void encode_list(Writer& w, const std::map<ClientId, PlistEntry>& list) {
   w.put_varint(list.size());
   for (const auto& [c, entry] : list) {
     w.put_u32(c);
-    entry.t.encode(w);
-    w.put_raw(crypto::digest_view(entry.h));
+    wire::put(w, entry.t);
+    wire::put(w, entry.h);
   }
 }
 
@@ -114,10 +114,9 @@ bool decode_list(Reader& r, std::map<ClientId, PlistEntry>& list) {
   for (std::uint64_t i = 0; i < count; ++i) {
     const ClientId c = r.get_u32();
     PlistEntry entry;
-    entry.t = Timestamp::decode(r);
-    const Bytes h = r.get_raw(crypto::kDigestSize);
+    entry.t = wire::get<Timestamp>(r);
+    entry.h = wire::get<crypto::Digest>(r);
     if (!r.ok()) return false;
-    crypto::digest_from_bytes(h, entry.h);
     list.emplace(c, entry);
   }
   return true;
@@ -131,7 +130,7 @@ void ObjectState::encode(Writer& w) const {
   pcert_.encode(w);
   encode_list(w, plist_);
   encode_list(w, optlist_);
-  write_ts_.encode(w);
+  wire::put(w, write_ts_);
 }
 
 std::optional<ObjectState> ObjectState::decode(Reader& r) {
@@ -140,7 +139,7 @@ std::optional<ObjectState> ObjectState::decode(Reader& r) {
   state.pcert_ = PrepareCertificate::decode(r);
   if (!decode_list(r, state.plist_)) return std::nullopt;
   if (!decode_list(r, state.optlist_)) return std::nullopt;
-  state.write_ts_ = Timestamp::decode(r);
+  state.write_ts_ = wire::get<Timestamp>(r);
   if (!r.ok()) return std::nullopt;
   return state;
 }

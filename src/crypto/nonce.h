@@ -18,24 +18,16 @@ struct Nonce {
   std::uint64_t counter = 0;
   std::uint64_t random = 0;
 
+  // Wire layout (util/codec.h).
+  static auto fields(auto& n) {
+    return std::tie(n.principal, n.counter, n.random);
+  }
+
   friend bool operator==(const Nonce& a, const Nonce& b) {
     return a.principal == b.principal && a.counter == b.counter &&
            a.random == b.random;
   }
   friend bool operator!=(const Nonce& a, const Nonce& b) { return !(a == b); }
-
-  void encode(Writer& w) const {
-    w.put_u32(principal);
-    w.put_u64(counter);
-    w.put_u64(random);
-  }
-  static Nonce decode(Reader& r) {
-    Nonce n;
-    n.principal = r.get_u32();
-    n.counter = r.get_u64();
-    n.random = r.get_u64();
-    return n;
-  }
 };
 
 class NonceGenerator {

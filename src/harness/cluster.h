@@ -52,7 +52,8 @@
 
 namespace bftbc::harness {
 
-inline constexpr sim::NodeId kClientNodeBase = 0x10000;
+using sim::client_node;
+using sim::kClientNodeBase;
 inline constexpr sim::NodeId kShardNodeStride = 0x100;
 
 inline sim::NodeId shard_replica_node(std::uint32_t shard,
@@ -63,10 +64,6 @@ inline sim::NodeId shard_replica_node(std::uint32_t shard,
 inline sim::NodeId shard_client_node(std::uint32_t shard,
                                      quorum::ClientId c) {
   return kClientNodeBase * (static_cast<sim::NodeId>(shard) + 1) + c;
-}
-
-inline sim::NodeId client_node(quorum::ClientId c) {
-  return shard_client_node(0, c);
 }
 
 // Node ids of shard `shard`'s replica group, in replica-id order.

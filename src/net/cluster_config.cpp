@@ -127,7 +127,6 @@ Result<ClusterConfig> ClusterConfig::parse(std::string_view json) {
     if (!parsed.is_ok()) return parsed;
     cfg.shard_groups.push_back(std::move(endpoints));
   }
-  cfg.replicas = cfg.shard_groups.front();
   return cfg;
 }
 
@@ -166,11 +165,6 @@ Result<std::map<sim::NodeId, UdpEndpoint>> replica_endpoints(
     peers[static_cast<sim::NodeId>(r)] = *parsed;
   }
   return peers;
-}
-
-Result<std::map<sim::NodeId, UdpEndpoint>> replica_endpoints(
-    const ClusterConfig& config) {
-  return replica_endpoints(config, 0);
 }
 
 void register_cluster_principals(const ClusterConfig& config,

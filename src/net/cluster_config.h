@@ -50,17 +50,15 @@
 #include "crypto/signature.h"
 #include "net/udp_transport.h"
 #include "quorum/config.h"
+#include "sim/network.h"
 #include "util/status.h"
 
 namespace bftbc::net {
 
-// Node addressing mirrors harness/cluster.h: replica r is NodeId r,
-// client c is NodeId kClientNodeBase + c (kept in sync by net_test).
-inline constexpr sim::NodeId kClientNodeBase = 0x10000;
-
-inline sim::NodeId client_node(quorum::ClientId c) {
-  return kClientNodeBase + c;
-}
+// Node addressing is sim's (sim/network.h), shared with the harness:
+// replica r is NodeId r, client c is NodeId kClientNodeBase + c.
+using sim::client_node;
+using sim::kClientNodeBase;
 
 struct ClusterConfig {
   std::uint32_t f = 1;
@@ -78,11 +76,8 @@ struct ClusterConfig {
     std::string host;
     std::uint16_t port = 0;
   };
-  // Shard 0's endpoints (== the whole cluster for legacy single-group
-  // configs). Kept as a plain alias of shard_groups[0] so pre-sharding
-  // call sites keep reading the natural field.
-  std::vector<ReplicaEndpoint> replicas;  // exactly 3f+1 entries
-  // One endpoint group per shard; [0] is identical to `replicas`.
+  // One endpoint group per shard, each exactly 3f+1 entries; a legacy
+  // single-group config is shard_groups[0].
   std::vector<std::vector<ReplicaEndpoint>> shard_groups;
 
   std::uint32_t shard_count() const {
@@ -113,9 +108,6 @@ struct ClusterConfig {
 // group per transport (its own socket), so the maps never collide.
 Result<std::map<sim::NodeId, UdpEndpoint>> replica_endpoints(
     const ClusterConfig& config, std::uint32_t shard);
-// Legacy spelling: shard 0.
-Result<std::map<sim::NodeId, UdpEndpoint>> replica_endpoints(
-    const ClusterConfig& config);
 
 // Registers every principal of the cluster in the canonical order that
 // makes independently-seeded Keystores agree (see file comment). The

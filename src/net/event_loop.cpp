@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 namespace bftbc::net {
 
@@ -56,14 +57,21 @@ std::size_t EventLoop::fire_due_timers() {
 
 std::size_t EventLoop::wait_and_dispatch_fds(sim::Time max_wait) {
   // Block until the next timer deadline at the latest, rounded up to
-  // epoll_wait's millisecond so a timer is due when the wait ends.
+  // epoll_wait's millisecond so a timer is due when the wait ends. With
+  // no timer and no bound, block until an fd is readable (-1); any other
+  // wait is clamped to the largest int, and the round-up cannot wrap.
   sim::Time wait = max_wait;
   if (const auto next = timers_.next_deadline()) {
     const sim::Time at = now();
     wait = *next <= at ? 0 : std::min(wait, *next - at);
   }
-  const int wait_ms =
-      static_cast<int>((wait + sim::kMillisecond - 1) / sim::kMillisecond);
+  int wait_ms = -1;
+  if (wait != kNoBound) {
+    const sim::Time ms =
+        wait / sim::kMillisecond + (wait % sim::kMillisecond != 0 ? 1 : 0);
+    wait_ms = static_cast<int>(
+        std::min<sim::Time>(ms, std::numeric_limits<int>::max()));
+  }
 
   // The ready list is a snapshot: handlers may unwatch fds (checked again
   // at call time) or watch new ones (picked up next iteration), so
@@ -107,7 +115,7 @@ std::size_t EventLoop::poll_once(sim::Time max_wait) {
 
 void EventLoop::run() {
   stopped_ = false;
-  while (!stopped_) poll_once();
+  while (!stopped_) poll_once(kNoBound);
 }
 
 bool EventLoop::run_until(const std::function<bool()>& pred,

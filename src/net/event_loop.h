@@ -25,6 +25,7 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <unordered_map>
 
 #include "sim/simulator.h"
@@ -55,10 +56,13 @@ class EventLoop final : public sim::Scheduler {
 
   // One iteration: wait up to `max_wait` for fd readiness (shortened to
   // the next timer deadline), dispatch ready fd handlers, then fire due
-  // timers. Returns the number of fd events plus timers fired.
-  std::size_t poll_once(sim::Time max_wait = 10 * sim::kMillisecond);
+  // timers. Every caller states its bound; run() passes one that never
+  // ends the wait. Returns the number of fd events plus timers fired.
+  std::size_t poll_once(sim::Time max_wait);
 
-  // Iterate until stop() is called (from a timer or fd handler).
+  // Iterate until stop() is called (from a timer or fd handler). Each
+  // wait lasts until the next timer or fd event, however far off, so an
+  // idle loop wakes only for its timers.
   void run();
   void stop() { stopped_ = true; }
 
@@ -68,6 +72,9 @@ class EventLoop final : public sim::Scheduler {
   std::size_t pending_timers() const { return timers_.size(); }
 
  private:
+  // run()'s poll_once bound: the wait never ends on its own.
+  static constexpr sim::Time kNoBound = std::numeric_limits<sim::Time>::max();
+
   std::size_t fire_due_timers();
   std::size_t wait_and_dispatch_fds(sim::Time max_wait);
 

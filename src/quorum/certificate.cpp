@@ -88,17 +88,16 @@ Status PrepareCertificate::validate(const QuorumConfig& config,
 
 void PrepareCertificate::encode(Writer& w) const {
   w.put_u64(object_);
-  ts_.encode(w);
-  w.put_raw(crypto::digest_view(hash_));
+  wire::put(w, ts_);
+  wire::put(w, hash_);
   encode_signature_set(w, signatures_);
 }
 
 PrepareCertificate PrepareCertificate::decode(Reader& r) {
   PrepareCertificate c;
   c.object_ = r.get_u64();
-  c.ts_ = Timestamp::decode(r);
-  const Bytes h = r.get_raw(crypto::kDigestSize);
-  crypto::digest_from_bytes(h, c.hash_);
+  c.ts_ = wire::get<Timestamp>(r);
+  c.hash_ = wire::get<crypto::Digest>(r);
   c.signatures_ = decode_signature_set(r);
   return c;
 }
@@ -123,14 +122,14 @@ Status WriteCertificate::validate(const QuorumConfig& config,
 
 void WriteCertificate::encode(Writer& w) const {
   w.put_u64(object_);
-  ts_.encode(w);
+  wire::put(w, ts_);
   encode_signature_set(w, signatures_);
 }
 
 WriteCertificate WriteCertificate::decode(Reader& r) {
   WriteCertificate c;
   c.object_ = r.get_u64();
-  c.ts_ = Timestamp::decode(r);
+  c.ts_ = wire::get<Timestamp>(r);
   c.signatures_ = decode_signature_set(r);
   return c;
 }

@@ -27,21 +27,12 @@ enum class StatementTag : std::uint8_t {
 // Exact signed bytes of 〈PREPARE-REPLY, ts, h〉 for an object.
 inline Bytes prepare_reply_statement(ObjectId object, const Timestamp& ts,
                                      const crypto::Digest& hash) {
-  Writer w;
-  w.put_u8(static_cast<std::uint8_t>(StatementTag::kPrepareReply));
-  w.put_u64(object);
-  ts.encode(w);
-  w.put_raw(crypto::digest_view(hash));
-  return std::move(w).take();
+  return wire::encode(StatementTag::kPrepareReply, object, ts, hash);
 }
 
 // Exact signed bytes of 〈WRITE-REPLY, ts〉 for an object.
 inline Bytes write_reply_statement(ObjectId object, const Timestamp& ts) {
-  Writer w;
-  w.put_u8(static_cast<std::uint8_t>(StatementTag::kWriteReply));
-  w.put_u64(object);
-  ts.encode(w);
-  return std::move(w).take();
+  return wire::encode(StatementTag::kWriteReply, object, ts);
 }
 
 }  // namespace bftbc::quorum

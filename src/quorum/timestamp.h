@@ -23,6 +23,9 @@ struct Timestamp {
   std::uint64_t val = 0;
   ClientId id = 0;
 
+  // Wire layout (util/codec.h): u64 val, then u32 id.
+  static auto fields(auto& t) { return std::tie(t.val, t.id); }
+
   static Timestamp zero() { return {}; }
   bool is_zero() const { return val == 0 && id == 0; }
 
@@ -45,17 +48,6 @@ struct Timestamp {
   friend bool operator>(const Timestamp& a, const Timestamp& b) { return b < a; }
   friend bool operator>=(const Timestamp& a, const Timestamp& b) {
     return b <= a;
-  }
-
-  void encode(Writer& w) const {
-    w.put_u64(val);
-    w.put_u32(id);
-  }
-  static Timestamp decode(Reader& r) {
-    Timestamp ts;
-    ts.val = r.get_u64();
-    ts.id = r.get_u32();
-    return ts;
   }
 
   std::string to_string() const {

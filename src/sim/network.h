@@ -33,6 +33,13 @@ namespace bftbc::sim {
 
 using NodeId = std::uint32_t;
 
+// Client c of a deployment is NodeId kClientNodeBase + c, above every
+// replica's id. The simulated harness and the live tools share this
+// convention (the harness gives shard s's legs their own multiple).
+inline constexpr NodeId kClientNodeBase = 0x10000;
+
+inline NodeId client_node(std::uint32_t c) { return kClientNodeBase + c; }
+
 struct LinkConfig {
   Time base_delay = 500 * kMicrosecond;   // propagation floor
   Time jitter_mean = 200 * kMicrosecond;  // exponential jitter (reordering)

@@ -1,4 +1,4 @@
-// Binary serialization primitives.
+// Binary serialization primitives, and the field-list codec built on them.
 //
 // All wire messages and all signed statements are encoded with Writer and
 // decoded with Reader. The format is deliberately simple and fully
@@ -14,10 +14,42 @@
 // and subsequent reads return zero values. Callers check ok() once at the
 // end — this keeps replica message handlers simple and makes truncation /
 // garbage injected by Byzantine nodes safe to parse.
+//
+// Field lists (namespace wire). A wire struct states its layout once: a
+// static `fields(m)` returning std::tie of its members in wire order.
+// wire::put and wire::get walk that list, so a struct's encoder and
+// decoder cannot disagree. A message derives from wire::Message<T>, which
+// supplies `Bytes encode() const` and `static std::optional<T>
+// decode(BytesView)`; decode succeeds only if it consumes the whole input
+// (Reader::done()). Each field type has exactly one wire form:
+//
+//   bool, u8, u32, u64  fixed width (put also takes an enum, e.g. a
+//                       domain tag, as its underlying integer)
+//   Bytes               varint length + bytes
+//   std::array<u8, N>   N raw bytes (digests)
+//   std::optional<T>    bool present, then T
+//   std::vector<T>      u32 count, then the items; decoding stops at the
+//                       first failed read, so a forged count cannot spin
+//   a record            its field list, inline (Timestamp, Nonce, messages)
+//   a blob              a type with its own raw codec, `void encode(Writer&)
+//                       const` and `static T decode(Reader&)` (the quorum
+//                       certificates): a length-prefixed blob that must
+//                       parse exactly, or the whole message fails
+//
+// The blob is the only form wire::put gives a certificate. Code that needs
+// the raw form (ObjectState's cold-store / STATE-XFER blob) calls the
+// type's own encode/decode by name.
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <concepts>
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <tuple>
+#include <type_traits>
+#include <vector>
 
 #include "util/bytes.h"
 
@@ -82,5 +114,142 @@ class Reader {
   std::size_t pos_ = 0;
   bool ok_ = true;
 };
+
+namespace wire {
+
+template <typename T>
+concept Record = requires(T& m) { T::fields(m); };
+
+template <typename T>
+concept Blob = requires(const T& v, Writer& w, Reader& r) {
+  v.encode(w);
+  { T::decode(r) } -> std::same_as<T>;
+};
+
+template <typename T>
+inline constexpr bool kIsByteArray = false;
+template <std::size_t N>
+inline constexpr bool kIsByteArray<std::array<std::uint8_t, N>> = true;
+template <typename T>
+inline constexpr bool kIsOptional = false;
+template <typename T>
+inline constexpr bool kIsOptional<std::optional<T>> = true;
+template <typename T>
+inline constexpr bool kIsVector = false;
+template <typename T>
+inline constexpr bool kIsVector<std::vector<T>> = true;
+template <typename T>
+inline constexpr bool kNoWireForm = false;
+
+// Appends one field in its wire form.
+template <typename T>
+void put(Writer& w, const T& v) {
+  if constexpr (std::is_enum_v<T>) {
+    wire::put(w, static_cast<std::underlying_type_t<T>>(v));
+  } else if constexpr (std::is_same_v<T, bool>) {
+    w.put_bool(v);
+  } else if constexpr (std::is_same_v<T, std::uint8_t>) {
+    w.put_u8(v);
+  } else if constexpr (std::is_same_v<T, std::uint32_t>) {
+    w.put_u32(v);
+  } else if constexpr (std::is_same_v<T, std::uint64_t>) {
+    w.put_u64(v);
+  } else if constexpr (std::is_same_v<T, Bytes>) {
+    w.put_bytes(v);
+  } else if constexpr (kIsByteArray<T>) {
+    w.put_raw(v);
+  } else if constexpr (kIsOptional<T>) {
+    w.put_bool(v.has_value());
+    if (v.has_value()) wire::put(w, *v);
+  } else if constexpr (kIsVector<T>) {
+    w.put_u32(static_cast<std::uint32_t>(v.size()));
+    for (const auto& item : v) wire::put(w, item);
+  } else if constexpr (Record<T>) {
+    static_assert(!Blob<T>, "one wire form: a field list or its own codec");
+    std::apply([&w](const auto&... f) { (wire::put(w, f), ...); },
+               T::fields(v));
+  } else if constexpr (Blob<T>) {
+    Writer inner;
+    v.encode(inner);
+    w.put_bytes(inner.data());
+  } else {
+    static_assert(kNoWireForm<T>, "type has no wire form");
+  }
+}
+
+// Reads one field in its wire form. On a failed read the Reader's sticky
+// error flag is set and the value is unspecified.
+template <typename T>
+T get(Reader& r) {
+  if constexpr (std::is_same_v<T, bool>) {
+    return r.get_bool();
+  } else if constexpr (std::is_same_v<T, std::uint8_t>) {
+    return r.get_u8();
+  } else if constexpr (std::is_same_v<T, std::uint32_t>) {
+    return r.get_u32();
+  } else if constexpr (std::is_same_v<T, std::uint64_t>) {
+    return r.get_u64();
+  } else if constexpr (std::is_same_v<T, Bytes>) {
+    return r.get_bytes();
+  } else if constexpr (kIsByteArray<T>) {
+    T out{};
+    const Bytes raw = r.get_raw(out.size());  // all of it, or nothing
+    std::copy(raw.begin(), raw.end(), out.begin());
+    return out;
+  } else if constexpr (kIsOptional<T>) {
+    if (!r.get_bool()) return std::nullopt;
+    return wire::get<typename T::value_type>(r);
+  } else if constexpr (kIsVector<T>) {
+    T out;
+    const std::uint32_t count = r.get_u32();
+    for (std::uint32_t i = 0; i < count && r.ok(); ++i) {
+      out.push_back(wire::get<typename T::value_type>(r));
+    }
+    return out;
+  } else if constexpr (Record<T>) {
+    T m{};
+    std::apply(
+        [&r](auto&... f) {
+          ((f = wire::get<std::remove_cvref_t<decltype(f)>>(r)), ...);
+        },
+        T::fields(m));
+    return m;
+  } else if constexpr (Blob<T>) {
+    const Bytes blob = r.get_bytes();
+    Reader inner(blob);
+    T out = T::decode(inner);
+    // The blob's own verdict reaches the enclosing parse: a truncated
+    // blob or one with trailing garbage is a malformed message, not a
+    // default-initialized value.
+    if (!inner.done()) r.fail();
+    return out;
+  } else {
+    static_assert(kNoWireForm<T>, "type has no wire form");
+  }
+}
+
+// The concatenated wire forms of `fields`, e.g. a signed statement.
+template <typename... Ts>
+Bytes encode(const Ts&... fields) {
+  Writer w;
+  (wire::put(w, fields), ...);
+  return std::move(w).take();
+}
+
+// Base of every wire message T (a Record): one encode and one decode,
+// both derived from T's field list.
+template <typename T>
+struct Message {
+  Bytes encode() const { return wire::encode(static_cast<const T&>(*this)); }
+
+  static std::optional<T> decode(BytesView b) {
+    Reader r(b);
+    T m = wire::get<T>(r);
+    if (!r.done()) return std::nullopt;
+    return m;
+  }
+};
+
+}  // namespace wire
 
 }  // namespace bftbc

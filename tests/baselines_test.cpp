@@ -112,7 +112,7 @@ TEST(BqsTest, TimestampJumpAccepted) {
   Writer w;  // BqsWriteReq wire format
   w.put_u64(1);
   w.put_bytes(value);
-  huge.encode(w);
+  wire::put(w, huge);
   w.put_u32(66);
   auto sig = signer.sign(
       baselines::bqs_value_statement(1, huge, crypto::sha256(value)));
@@ -178,7 +178,7 @@ TEST(PhalanxTest, EquivocationDoesNotCommitEitherValue) {
     Writer w;
     w.put_u64(1);
     w.put_bytes(v);
-    ts.encode(w);
+    wire::put(w, ts);
     w.put_bool(false);
     w.put_u32(0);
     rpc::Envelope env;

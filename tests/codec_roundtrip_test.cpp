@@ -8,8 +8,10 @@
 #include <optional>
 
 #include "bftbc/messages.h"
+#include "bftbc/replica_state.h"
 #include "quorum/certificate.h"
 #include "util/codec.h"
+#include "util/hex.h"
 #include "util/rng.h"
 
 namespace bftbc::core {
@@ -43,19 +45,26 @@ quorum::SignatureSet random_sigset(Rng& rng) {
   quorum::SignatureSet set;
   const std::size_t count = rng.next_below(4);
   for (std::size_t i = 0; i < count; ++i) {
-    set[static_cast<quorum::ReplicaId>(rng.next_below(7))] =
-        random_bytes(rng, 48);
+    const auto replica = static_cast<quorum::ReplicaId>(rng.next_below(7));
+    set[replica] = random_bytes(rng, 48);
   }
   return set;
 }
 
+// Each draw is a named local: C++ leaves the evaluation order of function
+// arguments unspecified, so draws inside one argument list would make the
+// same seed give different values under different compilers.
 PrepareCertificate random_pcert(Rng& rng) {
-  return PrepareCertificate(rng.next_u64(), random_ts(rng),
-                            random_digest(rng), random_sigset(rng));
+  const std::uint64_t object = rng.next_u64();
+  const Timestamp ts = random_ts(rng);
+  const crypto::Digest hash = random_digest(rng);
+  return PrepareCertificate(object, ts, hash, random_sigset(rng));
 }
 
 WriteCertificate random_wcert(Rng& rng) {
-  return WriteCertificate(rng.next_u64(), random_ts(rng), random_sigset(rng));
+  const std::uint64_t object = rng.next_u64();
+  const Timestamp ts = random_ts(rng);
+  return WriteCertificate(object, ts, random_sigset(rng));
 }
 
 std::optional<WriteCertificate> random_opt_wcert(Rng& rng) {
@@ -246,6 +255,171 @@ TEST(CodecRoundtripTest, RandomCorruptionNeverCrashes) {
       EXPECT_EQ(re, decoded->encode());
     }
   }
+}
+
+// Pins the wire format itself. A reordered or retyped field still round-
+// trips and keeps every protocol count, so only pinned bytes catch it:
+// this hashes a fixed-seed sample of every message's encoding and signing
+// payload, both certificates' raw encodings (their blob form sits inside
+// the message encodings) and ObjectState's cold-store / STATE-XFER blob.
+// A deliberate format change must update the constant.
+TEST(CodecRoundtripTest, WireFormatDigestIsPinned) {
+  Rng rng(20261019);
+  Writer sink;  // every sampled byte string, length-prefixed
+  auto add = [&](const Bytes& b) { sink.put_bytes(b); };
+  for (int iter = 0; iter < 16; ++iter) {
+    {
+      ReadTsRequest m;
+      m.object = rng.next_u64();
+      m.nonce = random_nonce(rng);
+      add(m.encode());
+    }
+    {
+      ReadTsReply m;
+      m.object = rng.next_u64();
+      m.nonce = random_nonce(rng);
+      m.pcert = random_pcert(rng);
+      m.strong_write_sig = random_bytes(rng, 40);
+      m.replica = rng.next_u32();
+      m.auth = random_bytes(rng, 40);
+      add(m.encode());
+      add(m.signing_payload());
+    }
+    {
+      PrepareRequest m;
+      m.object = rng.next_u64();
+      m.t = random_ts(rng);
+      m.hash = random_digest(rng);
+      m.prep_cert = random_pcert(rng);
+      m.write_cert = random_opt_wcert(rng);
+      m.client = rng.next_u32();
+      m.sig = random_bytes(rng, 40);
+      add(m.encode());
+      add(m.signing_payload());
+    }
+    {
+      PrepareReply m;
+      m.object = rng.next_u64();
+      m.t = random_ts(rng);
+      m.hash = random_digest(rng);
+      m.replica = rng.next_u32();
+      m.sig = random_bytes(rng, 40);
+      add(m.encode());
+    }
+    {
+      WriteRequest m;
+      m.object = rng.next_u64();
+      m.value = random_bytes(rng, 64);
+      m.prep_cert = random_pcert(rng);
+      m.client = rng.next_u32();
+      m.sig = random_bytes(rng, 40);
+      add(m.encode());
+      add(m.signing_payload());
+    }
+    {
+      WriteReply m;
+      m.object = rng.next_u64();
+      m.ts = random_ts(rng);
+      m.replica = rng.next_u32();
+      m.sig = random_bytes(rng, 40);
+      add(m.encode());
+    }
+    {
+      ReadRequest m;
+      m.object = rng.next_u64();
+      m.nonce = random_nonce(rng);
+      m.write_cert = random_opt_wcert(rng);
+      add(m.encode());
+    }
+    {
+      ReadReply m;
+      m.object = rng.next_u64();
+      m.value = random_bytes(rng, 64);
+      m.pcert = random_pcert(rng);
+      m.nonce = random_nonce(rng);
+      m.replica = rng.next_u32();
+      m.auth = random_bytes(rng, 40);
+      add(m.encode());
+      add(m.signing_payload());
+    }
+    {
+      ReadTsPrepRequest m;
+      m.object = rng.next_u64();
+      m.hash = random_digest(rng);
+      m.write_cert = random_opt_wcert(rng);
+      m.nonce = random_nonce(rng);
+      m.client = rng.next_u32();
+      m.sig = random_bytes(rng, 40);
+      add(m.encode());
+      add(m.signing_payload());
+    }
+    {
+      ReadTsPrepReply m;
+      m.object = rng.next_u64();
+      m.nonce = random_nonce(rng);
+      m.pcert = random_pcert(rng);
+      m.prepared = rng.next_bool(0.5);
+      m.predicted_t = random_ts(rng);
+      m.hash = random_digest(rng);
+      m.prepare_sig = random_bytes(rng, 40);
+      m.strong_write_sig = random_bytes(rng, 40);
+      m.replica = rng.next_u32();
+      m.auth = random_bytes(rng, 40);
+      add(m.encode());
+      add(m.signing_payload());
+    }
+    {
+      ReplyBatch m;
+      m.replica = rng.next_u32();
+      const std::size_t count = rng.next_below(4);
+      for (std::size_t i = 0; i < count; ++i) {
+        m.replies.push_back(random_bytes(rng, 48));
+      }
+      m.auth = random_bytes(rng, 40);
+      add(m.encode());
+      add(m.signing_payload());
+    }
+    {
+      StateXferRequest m;
+      m.object = rng.next_u64();
+      m.nonce = random_nonce(rng);
+      add(m.encode());
+    }
+    {
+      StateXferReply m;
+      m.object = rng.next_u64();
+      m.nonce = random_nonce(rng);
+      m.state = random_bytes(rng, 64);
+      m.replica = rng.next_u32();
+      add(m.encode());
+    }
+    {
+      Writer w;
+      random_pcert(rng).encode(w);
+      random_wcert(rng).encode(w);
+      add(w.data());
+    }
+    {
+      ObjectState st(rng.next_u64());
+      const Bytes value = random_bytes(rng, 64);
+      (void)st.apply_write(value, random_pcert(rng),
+                           /*optimized_tiebreak=*/false);
+      for (int i = 0; i < 3; ++i) {
+        const auto client = static_cast<ClientId>(rng.next_below(8));
+        const Timestamp t = random_ts(rng);
+        (void)st.try_prepare(client, t, random_digest(rng));
+      }
+      const auto opt_client = static_cast<ClientId>(8 + rng.next_below(8));
+      (void)st.try_opt_prepare(opt_client, random_digest(rng));
+      (void)st.absorb_write_certificate(
+          Timestamp{rng.next_below(1 << 19), 0});
+      Writer w;
+      st.encode(w);
+      add(w.data());
+    }
+  }
+  EXPECT_EQ(to_hex(crypto::sha256(sink.data())),
+            "3c8be07ecc7ca4402d042020400f534523894f8dee19a418e1cd8966a5922ee3");
 }
 
 }  // namespace

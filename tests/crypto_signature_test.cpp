@@ -137,9 +137,9 @@ TEST(NonceTest, EncodeDecodeRoundtrip) {
   NonceGenerator gen(77, Rng(3));
   const Nonce n = gen.next();
   Writer w;
-  n.encode(w);
+  wire::put(w, n);
   Reader r(w.data());
-  const Nonce back = Nonce::decode(r);
+  const Nonce back = wire::get<Nonce>(r);
   EXPECT_TRUE(r.done());
   EXPECT_EQ(n, back);
 }

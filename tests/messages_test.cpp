@@ -376,7 +376,7 @@ TEST(MessagesTest, PrepareRequestRejectsTamperedOptionalWriteCert) {
 
   Writer w;
   w.put_u64(7);  // object
-  Timestamp{4, 2}.encode(w);
+  wire::put(w, Timestamp{4, 2});
   w.put_raw(crypto::digest_view(crypto::sha256(as_bytes_view("v"))));
   Writer cert;
   prep_cert().encode(cert);

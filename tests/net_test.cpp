@@ -166,6 +166,19 @@ TEST_F(EventLoopTest, StopExitsRun) {
   SUCCEED();
 }
 
+TEST_F(EventLoopTest, RunSleepsUntilTheNextTimer) {
+  // run() has no poll bound of its own: with one timer 300 ms out it
+  // blocks until that deadline, so the process sleeps once or twice. A
+  // 10 ms bound would wake it about 30 times.
+  loop_.schedule(300 * sim::kMillisecond, [&] { loop_.stop(); });
+  rusage before{};
+  ASSERT_EQ(getrusage(RUSAGE_SELF, &before), 0);
+  loop_.run();
+  rusage after{};
+  ASSERT_EQ(getrusage(RUSAGE_SELF, &after), 0);
+  EXPECT_LT(after.ru_nvcsw - before.ru_nvcsw, 5);
+}
+
 TEST(EventLoopDeathTest, FailedEpollCreateAborts) {
   // With no descriptor left to hand out, the loop must not limp on with
   // fd -1 (every epoll call would fail and no socket would dispatch).
@@ -439,10 +452,11 @@ TEST(ClusterConfigTest, ParsesValidConfig) {
   EXPECT_EQ(cfg.max_clients, 8u);
   EXPECT_EQ(cfg.quorum().n, 4u);
   EXPECT_EQ(cfg.quorum().q, 3u);
-  ASSERT_EQ(cfg.replicas.size(), 4u);
-  EXPECT_EQ(cfg.replicas[2].port, 5502);
+  ASSERT_EQ(cfg.shard_groups.size(), 1u);
+  ASSERT_EQ(cfg.shard_groups[0].size(), 4u);
+  EXPECT_EQ(cfg.shard_groups[0][2].port, 5502);
 
-  auto peers = replica_endpoints(cfg);
+  auto peers = replica_endpoints(cfg, 0);
   ASSERT_TRUE(peers.is_ok());
   EXPECT_EQ(peers.value().at(3).to_string(), "127.0.0.1:5503");
 }
@@ -526,8 +540,8 @@ TEST(ClusterConfigTest, IndependentKeystoresAgreeOnKeys) {
 }
 
 TEST(ClusterConfigTest, NodeAddressingMatchesHarnessConvention) {
-  // net/ and harness/ must agree on the NodeId layout (the constants are
-  // duplicated to keep net free of the harness dependency).
+  // net/ and harness/ share sim's NodeId layout; pin it, since the live
+  // tools and every recorded trace depend on it.
   EXPECT_EQ(kClientNodeBase, 0x10000u);
   EXPECT_EQ(client_node(7), 0x10007u);
 }

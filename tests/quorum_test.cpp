@@ -43,9 +43,9 @@ TEST(TimestampTest, DifferentClientsNeverCollide) {
 TEST(TimestampTest, EncodeDecodeRoundtrip) {
   Timestamp t{0xdeadbeefcafe, 42};
   Writer w;
-  t.encode(w);
+  wire::put(w, t);
   Reader r(w.data());
-  EXPECT_EQ(Timestamp::decode(r), t);
+  EXPECT_EQ(wire::get<Timestamp>(r), t);
   EXPECT_TRUE(r.done());
 }
 

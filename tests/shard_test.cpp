@@ -289,9 +289,8 @@ TEST(ClusterConfigShardsTest, ParsesShardGroups) {
   EXPECT_EQ(cfg.shard_count(), 2u);
   ASSERT_EQ(cfg.shard_groups.size(), 2u);
   EXPECT_EQ(cfg.shard_groups[1][3].port, 5613);
-  // The legacy alias keeps pointing at shard 0.
-  ASSERT_EQ(cfg.replicas.size(), 4u);
-  EXPECT_EQ(cfg.replicas[0].port, 5600);
+  ASSERT_EQ(cfg.shard_groups[0].size(), 4u);
+  EXPECT_EQ(cfg.shard_groups[0][0].port, 5600);
   // Per-shard seeds: shard 0 is the base, others derive via
   // shard_key_seed — same function the sim harness and bftbcd use.
   EXPECT_EQ(cfg.shard_seed(0), 42u);
@@ -305,10 +304,9 @@ TEST(ClusterConfigShardsTest, PerShardEndpointTables) {
   auto shard1 = net::replica_endpoints(parsed.value(), 1);
   ASSERT_TRUE(shard1.is_ok());
   EXPECT_EQ(shard1.value().at(0).to_string(), "127.0.0.1:5610");
-  // Legacy spelling == shard 0.
-  auto legacy = net::replica_endpoints(parsed.value());
-  ASSERT_TRUE(legacy.is_ok());
-  EXPECT_EQ(legacy.value().at(0).to_string(), "127.0.0.1:5600");
+  auto shard0 = net::replica_endpoints(parsed.value(), 0);
+  ASSERT_TRUE(shard0.is_ok());
+  EXPECT_EQ(shard0.value().at(0).to_string(), "127.0.0.1:5600");
   EXPECT_FALSE(net::replica_endpoints(parsed.value(), 2).is_ok());
 }
 

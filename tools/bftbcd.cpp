@@ -100,6 +100,9 @@ int main(int argc, char** argv) {
   std::signal(SIGINT, handle_signal);
   std::signal(SIGTERM, handle_signal);
   // The stop flag is only a flag; this timer turns it into a loop exit.
+  // run() sleeps until its next timer, and a signal that lands between
+  // this check and epoll_wait does not wake it, so the poll also bounds
+  // how long such a SIGTERM goes unnoticed.
   std::function<void()> poll_stop = [&] {
     if (g_stop != 0) {
       loop.stop();
