@@ -218,14 +218,15 @@ void BM_CertValidateRsa(benchmark::State& state) {
 }
 BENCHMARK(BM_CertValidateRsa)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
-// An HMAC-sim keystore whose verify cache holds its default 64k entries,
-// as the live benchmark's replicas do after a few seconds.
+// An HMAC-sim keystore whose verify cache, turned on (HMAC-sim keystores
+// start with it off), holds its default 64k entries.
 struct FullCacheKeystore {
   crypto::Keystore ks{crypto::SignatureScheme::kHmacSim, 77};
   std::vector<Bytes> statements;
   std::vector<Bytes> sigs;
 
   FullCacheKeystore() {
+    ks.set_verify_cache_capacity(crypto::VerifyCache::kDefaultCapacity);
     const crypto::Signer signer = ks.register_principal(1);
     for (std::size_t i = 0; i < crypto::VerifyCache::kDefaultCapacity; ++i) {
       statements.push_back(to_bytes("PREPARE-REPLY object=" +

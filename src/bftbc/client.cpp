@@ -467,7 +467,7 @@ void Client::start_write_phase3(WriteOp& op) {
   req.value = op.value;
   req.prep_cert = *op.pnew;
   req.client = id_;
-  auto sig = sign_request(req.signing_payload());
+  auto sig = sign_request(req.signing_payload(op.hash));
   if (!sig.is_ok()) {
     fail_op(op.op_id, sig.status());
     return;
@@ -659,8 +659,12 @@ void Client::start_read(ReadOp& op) {
             m->replica != idx) {
           return false;
         }
+        // Hashed once, for the authenticated payload and the
+        // certificate check alike.
+        const crypto::Digest value_hash = crypto::sha256(m->value);
         if (!(batch_authed_ && m->auth.empty()) &&
-            !check_reply_auth(idx, m->signing_payload(), m->auth)) {
+            !check_reply_auth(idx, m->signing_payload(value_hash),
+                              m->auth)) {
           return false;
         }
         if (m->pcert.object() != op->object ||
@@ -668,7 +672,7 @@ void Client::start_read(ReadOp& op) {
           return false;
         }
         // The certificate must vouch for exactly this value.
-        if (m->pcert.hash() != crypto::sha256(m->value)) return false;
+        if (m->pcert.hash() != value_hash) return false;
 
         op->versions.insert(
             {ts_key(m->pcert.ts()),
@@ -701,7 +705,8 @@ void Client::start_read_writeback(ReadOp& op) {
   req.value = op.best_value;
   req.prep_cert = op.best_cert;
   req.client = id_;
-  auto sig = sign_request(req.signing_payload());
+  // best_cert vouches for best_value: the read validator checked it.
+  auto sig = sign_request(req.signing_payload(op.best_cert.hash()));
   if (!sig.is_ok()) {
     fail_op(op.op_id, sig.status());
     return;

@@ -15,16 +15,14 @@ Bytes PrepareRequest::signing_payload() const {
                       write_cert, client);
 }
 
-Bytes WriteRequest::signing_payload() const {
+Bytes WriteRequest::signing_payload(const crypto::Digest& value_hash) const {
   // Sign the digest, not the value: identical security (the certificate
   // already binds the digest) and keeps signing cost value-size-free.
-  return wire::encode(AuthTag::kWrite, object, crypto::sha256(value),
-                      prep_cert, client);
+  return wire::encode(AuthTag::kWrite, object, value_hash, prep_cert, client);
 }
 
-Bytes ReadReply::signing_payload() const {
-  return wire::encode(AuthTag::kReadReply, object, nonce,
-                      crypto::sha256(value), pcert);
+Bytes ReadReply::signing_payload(const crypto::Digest& value_hash) const {
+  return wire::encode(AuthTag::kReadReply, object, nonce, value_hash, pcert);
 }
 
 Bytes ReadTsPrepRequest::signing_payload() const {

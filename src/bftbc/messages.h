@@ -122,7 +122,13 @@ struct WriteRequest : wire::Message<WriteRequest> {
   static auto fields(auto& m) {
     return std::tie(m.object, m.value, m.prep_cert, m.client, m.sig);
   }
-  Bytes signing_payload() const;
+  // Signs h(value); `value_hash` must be sha256(value). Callers that
+  // already hold the digest pass it, so a value is hashed once per
+  // message; the overload without it hashes the value itself.
+  Bytes signing_payload(const crypto::Digest& value_hash) const;
+  Bytes signing_payload() const {
+    return signing_payload(crypto::sha256(value));
+  }
 };
 
 // 〈WRITE-REPLY, t〉σr — certificate component.
@@ -170,7 +176,12 @@ struct ReadReply : wire::Message<ReadReply> {
     return std::tie(m.object, m.value, m.pcert, m.nonce, m.replica,
                     m.auth);
   }
-  Bytes signing_payload() const;
+  // Authenticates h(value); `value_hash` must be sha256(value), as for
+  // WriteRequest.
+  Bytes signing_payload(const crypto::Digest& value_hash) const;
+  Bytes signing_payload() const {
+    return signing_payload(crypto::sha256(value));
+  }
 };
 
 // ---------------------------------------------------------------------

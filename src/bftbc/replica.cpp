@@ -517,9 +517,11 @@ void Replica::handle_write(sim::NodeId from, const rpc::Envelope& env) {
   ObjectState& state = object(req->object);
   sim::Time cost = 0;
 
-  // Figure 2 phase 3 step 1.
-  if (!verify_client_sig(req->client, req->signing_payload(), req->sig,
-                         cost)) {
+  // Figure 2 phase 3 step 1. The value is hashed once, for the signed
+  // payload and the certificate check alike.
+  const crypto::Digest value_hash = crypto::sha256(req->value);
+  if (!verify_client_sig(req->client, req->signing_payload(value_hash),
+                         req->sig, cost)) {
     dropped("drop_bad_auth");
     return;
   }
@@ -527,7 +529,7 @@ void Replica::handle_write(sim::NodeId from, const rpc::Envelope& env) {
     dropped("drop_bad_cert");
     return;
   }
-  if (req->prep_cert.hash() != crypto::sha256(req->value)) {
+  if (req->prep_cert.hash() != value_hash) {
     dropped("drop_hash_mismatch");
     return;
   }
@@ -589,7 +591,12 @@ void Replica::handle_read(sim::NodeId from, const rpc::Envelope& env) {
   if (amortized_auth_for(from)) {
     metrics_.inc("auth_p2p_amortized");
   } else {
-    rep.auth = p2p_auth(env.sender, rep.signing_payload(), cost);
+    // pcert().hash() == sha256(data()) in every state this replica
+    // reaches: genesis, apply_write after handle_write's hash check,
+    // state-transfer adoption of a checked snapshot, and cold-store
+    // reload of its own blob (DESIGN §11).
+    rep.auth =
+        p2p_auth(env.sender, rep.signing_payload(state.pcert().hash()), cost);
   }
 
   granted("reply_read");

@@ -5,7 +5,7 @@
 
 namespace bftbc::crypto {
 
-Digest hmac_sha256(BytesView key, BytesView message) {
+HmacKey::HmacKey(BytesView key) {
   constexpr std::size_t kBlock = 64;
 
   // Keys longer than the block size are hashed first.
@@ -23,21 +23,32 @@ Digest hmac_sha256(BytesView key, BytesView message) {
     ipad[i] = k[i] ^ 0x36;
     opad[i] = k[i] ^ 0x5c;
   }
+  inner_.update(ipad);
+  outer_.update(opad);
+}
 
-  Sha256 inner;
-  inner.update(ipad);
-  inner.update(message);
-  Digest inner_digest = inner.finish();
+Digest HmacKey::mac(BytesView prefix, BytesView msg) const {
+  Sha256 inner = inner_;
+  inner.update(prefix);
+  inner.update(msg);
+  const Digest inner_digest = inner.finish();
 
-  Sha256 outer;
-  outer.update(opad);
+  Sha256 outer = outer_;
   outer.update(digest_view(inner_digest));
   return outer.finish();
 }
 
-bool hmac_verify(BytesView key, BytesView message, BytesView tag) {
-  Digest expect = hmac_sha256(key, message);
+bool HmacKey::verify(BytesView prefix, BytesView msg, BytesView tag) const {
+  const Digest expect = mac(prefix, msg);
   return constant_time_equal(digest_view(expect), tag);
+}
+
+Digest hmac_sha256(BytesView key, BytesView message) {
+  return HmacKey(key).mac(message);
+}
+
+bool hmac_verify(BytesView key, BytesView message, BytesView tag) {
+  return HmacKey(key).verify({}, message, tag);
 }
 
 }  // namespace bftbc::crypto

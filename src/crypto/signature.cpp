@@ -1,17 +1,50 @@
 #include "crypto/signature.h"
 
 #include <algorithm>
+#include <array>
 
 #include "crypto/hmac.h"
-#include "util/codec.h"
 
 namespace bftbc::crypto {
 
 namespace {
-void append_principal(Bytes& out, PrincipalId p) {
-  for (int i = 0; i < 4; ++i)
-    out.push_back(static_cast<std::uint8_t>(p >> (8 * i)));
+
+// The N low bytes of v, little-endian.
+template <std::size_t N>
+std::array<std::uint8_t, N> le_bytes(std::uint64_t v) {
+  std::array<std::uint8_t, N> out;
+  for (std::size_t i = 0; i < N; ++i) {
+    out[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+  return out;
 }
+
+// LE32 p: binds a signature to its signer, so a signature by p over m
+// never validates as one by p' over m.
+std::array<std::uint8_t, 4> principal_prefix(PrincipalId p) {
+  return le_bytes<4>(p);
+}
+
+// LE32 a || LE32 b, and the same bytes as one u64: a pair key's
+// derivation input (min, max) and a MAC's direction (sender, receiver).
+std::uint64_t pair_id(PrincipalId a, PrincipalId b) {
+  return a | static_cast<std::uint64_t>(b) << 32;
+}
+std::array<std::uint8_t, 8> pair_prefix(PrincipalId a, PrincipalId b) {
+  return le_bytes<8>(pair_id(a, b));
+}
+
+// Pair-key master secret: a function of the seed alone, NOT of the
+// keystore's rng stream — same-seeded keystores agree on every session
+// key, and the deterministic principal-key sequence is unchanged by MAC
+// use.
+Digest p2p_master(std::uint64_t seed) {
+  Bytes seed_input = to_bytes("bftbc-p2p-master-v1:");
+  const auto le_seed = le_bytes<8>(seed);
+  seed_input.insert(seed_input.end(), le_seed.begin(), le_seed.end());
+  return sha256(seed_input);
+}
+
 }  // namespace
 
 Result<Bytes> Signer::sign(BytesView msg) const {
@@ -42,21 +75,20 @@ Result<Bytes> Signer::mac_authenticator(const std::vector<PrincipalId>& peers,
 
 Keystore::Keystore(SignatureScheme scheme, std::uint64_t seed,
                    std::size_t rsa_bits)
-    : scheme_(scheme), rsa_bits_(rsa_bits), rng_(seed) {
-  // Pair-key master secret: a function of the seed alone, NOT of rng_'s
-  // stream — same-seeded keystores agree on every session key, and the
-  // deterministic principal-key sequence is unchanged by MAC use.
-  Bytes seed_input = to_bytes("bftbc-p2p-master-v1:");
-  for (int i = 0; i < 8; ++i)
-    seed_input.push_back(static_cast<std::uint8_t>(seed >> (8 * i)));
-  p2p_master_ = digest_bytes(sha256(seed_input));
-}
+    : scheme_(scheme),
+      rsa_bits_(rsa_bits),
+      rng_(seed),
+      p2p_master_(digest_view(p2p_master(seed))),
+      // An HMAC-sim verify costs about what a cache key does (DESIGN §5).
+      verify_cache_(scheme == SignatureScheme::kRsa
+                        ? VerifyCache::kDefaultCapacity
+                        : 0) {}
 
 Signer Keystore::register_principal(PrincipalId p) {
   auto [it, inserted] = principals_.try_emplace(p);
   if (inserted) {
     if (scheme_ == SignatureScheme::kHmacSim) {
-      it->second.hmac_secret = rng_.bytes(32);
+      it->second.hmac.emplace(rng_.bytes(32));
     } else {
       it->second.rsa = rsa_generate(rng_, rsa_bits_);
       it->second.rsa_ctx = std::make_shared<RsaContext>(it->second.rsa->priv);
@@ -70,13 +102,10 @@ bool Keystore::is_registered(PrincipalId p) const {
 }
 
 namespace {
-// Domain-separate the signed bytes by principal so a signature by p over
-// m can never validate as a signature by p' over m.
+// The signed bytes of an RSA signature: LE32 p || msg.
 Bytes bind_principal(PrincipalId p, BytesView msg) {
-  Bytes bound;
-  bound.reserve(msg.size() + 4);
-  for (int i = 0; i < 4; ++i)
-    bound.push_back(static_cast<std::uint8_t>(p >> (8 * i)));
+  const auto prefix = principal_prefix(p);
+  Bytes bound(prefix.begin(), prefix.end());
   append(bound, msg);
   return bound;
 }
@@ -88,20 +117,21 @@ Result<Bytes> Keystore::sign_internal(PrincipalId p, BytesView msg) {
   if (it->second.revoked)
     return unavailable("principal revoked (stopped)");
   counters_.inc("sign");
-  const Bytes bound = bind_principal(p, msg);
   if (scheme_ == SignatureScheme::kHmacSim) {
-    Digest tag = hmac_sha256(it->second.hmac_secret, bound);
-    return digest_bytes(tag);
+    return digest_bytes(it->second.hmac->mac(principal_prefix(p), msg));
   }
-  return rsa_sign(it->second.rsa->priv, *it->second.rsa_ctx, bound);
+  return rsa_sign(it->second.rsa->priv, *it->second.rsa_ctx,
+                  bind_principal(p, msg));
 }
 
-Bytes Keystore::pair_key(PrincipalId a, PrincipalId b) const {
-  Bytes pair;
-  pair.reserve(8);
-  append_principal(pair, std::min(a, b));
-  append_principal(pair, std::max(a, b));
-  return digest_bytes(hmac_sha256(p2p_master_, pair));
+const HmacKey& Keystore::pair_key(PrincipalId a, PrincipalId b) const {
+  const std::uint64_t pair = pair_id(std::min(a, b), std::max(a, b));
+  auto it = pair_keys_.find(pair);
+  if (it == pair_keys_.end()) {
+    const Digest key = p2p_master_.mac(le_bytes<8>(pair));
+    it = pair_keys_.emplace(pair, HmacKey(digest_view(key))).first;
+  }
+  return it->second;
 }
 
 Result<Bytes> Keystore::mac_internal(PrincipalId sender, PrincipalId receiver,
@@ -113,12 +143,8 @@ Result<Bytes> Keystore::mac_internal(PrincipalId sender, PrincipalId receiver,
   if (principals_.count(receiver) == 0)
     return not_found("unknown MAC peer");
   counters_.inc("mac_sign");
-  Bytes bound;
-  bound.reserve(msg.size() + 8);
-  append_principal(bound, sender);
-  append_principal(bound, receiver);
-  append(bound, msg);
-  return digest_bytes(hmac_sha256(pair_key(sender, receiver), bound));
+  return digest_bytes(
+      pair_key(sender, receiver).mac(pair_prefix(sender, receiver), msg));
 }
 
 bool Keystore::mac_check(PrincipalId sender, PrincipalId receiver,
@@ -126,12 +152,8 @@ bool Keystore::mac_check(PrincipalId sender, PrincipalId receiver,
   if (principals_.count(sender) == 0 || principals_.count(receiver) == 0)
     return false;
   counters_.inc("mac_verify");
-  Bytes bound;
-  bound.reserve(msg.size() + 8);
-  append_principal(bound, sender);
-  append_principal(bound, receiver);
-  append(bound, msg);
-  return hmac_verify(pair_key(sender, receiver), bound, tag);
+  return pair_key(sender, receiver)
+      .verify(pair_prefix(sender, receiver), msg, tag);
 }
 
 bool Keystore::verify(PrincipalId signer, BytesView msg, BytesView sig) const {
@@ -139,11 +161,11 @@ bool Keystore::verify(PrincipalId signer, BytesView msg, BytesView sig) const {
   if (it == principals_.end()) return false;
   counters_.inc("verify");
   counters_.inc("sig_verify_calls");
-  const Bytes bound = bind_principal(signer, msg);
   if (scheme_ == SignatureScheme::kHmacSim) {
-    return hmac_verify(it->second.hmac_secret, bound, sig);
+    return it->second.hmac->verify(principal_prefix(signer), msg, sig);
   }
-  return rsa_verify(it->second.rsa->pub, *it->second.rsa_ctx, bound, sig);
+  return rsa_verify(it->second.rsa->pub, *it->second.rsa_ctx,
+                    bind_principal(signer, msg), sig);
 }
 
 bool Keystore::verify_cached(PrincipalId signer, BytesView msg,
@@ -151,6 +173,10 @@ bool Keystore::verify_cached(PrincipalId signer, BytesView msg,
   // Unknown principals are rejected without caching: registering the
   // principal later must not be shadowed by a stale negative verdict.
   if (principals_.count(signer) == 0) return false;
+  if (verify_cache_.capacity() == 0) {
+    counters_.inc("sig_cache_miss");
+    return verify(signer, msg, sig);
+  }
   const VerifyCache::Key key = VerifyCache::make_key(signer, msg, sig);
   const int memo = verify_cache_.lookup(key);
   if (memo >= 0) {

@@ -24,14 +24,18 @@
 // proofs whose 2f+1 signatures get re-checked at every hop, so the
 // protocol routes all certificate validation through this path. Revoking
 // a principal purges its cache entries, so post-stop checks always
-// re-enter the keystore.
+// re-enter the keystore. The cache is on by default only for kRsa: a
+// kHmacSim verify costs about what computing a cache key does, so an
+// HMAC-sim keystore starts with capacity 0 (DESIGN §5).
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
+#include <unordered_map>
 
+#include "crypto/hmac.h"
 #include "crypto/rsa.h"
 #include "crypto/verify_cache.h"
 #include "util/bytes.h"
@@ -105,15 +109,19 @@ class Keystore {
   // (principal, one SHA-256 over principal, msg and sig) and only falls
   // back to the real cryptographic check on a miss. Semantically
   // identical to verify() — both positive and negative verdicts are
-  // cached, and a revocation purges the principal's entries. Counters:
-  // "sig_cache_hit" / "sig_cache_miss".
+  // cached, and a revocation purges the principal's entries. With the
+  // cache off (capacity 0, the kHmacSim default) it calls verify()
+  // without computing a key. Counters: "sig_cache_hit" /
+  // "sig_cache_miss" (every call with the cache off is a miss).
   [[nodiscard]] bool verify_cached(PrincipalId signer, BytesView msg,
                                    BytesView sig) const;
 
   // --- Point-to-point MAC authentication (paper §3.3.2) ---
   //
   // Every pair of principals shares a symmetric session key derived
-  // from the keystore seed: key(a,b) = HMAC(master, min(a,b)||max(a,b)).
+  // from the keystore seed: key(a,b) = HMAC(master, min(a,b)||max(a,b)),
+  // with master = SHA-256("bftbc-p2p-master-v1:" || LE64 seed). Each
+  // pair's key is derived, and prepared as an HmacKey, on first use.
   // Tags additionally bind the direction (sender||receiver||msg), so a
   // reply MAC can never be replayed as a request MAC on the same pair.
   // MACs authenticate only to the receiver — they are NOT transferable
@@ -129,7 +137,9 @@ class Keystore {
                                BytesView msg, BytesView tag) const;
 
   // Bounds the verification cache; 0 disables memoization (every
-  // verify_cached call then performs the real check).
+  // verify_cached call then performs the real check). Starts at
+  // VerifyCache::kDefaultCapacity for kRsa and at 0 for kHmacSim; any
+  // scheme can turn it on here.
   void set_verify_cache_capacity(std::size_t entries);
   const VerifyCache& verify_cache() const { return verify_cache_; }
 
@@ -152,11 +162,11 @@ class Keystore {
   Result<Bytes> sign_internal(PrincipalId p, BytesView msg);
   Result<Bytes> mac_internal(PrincipalId sender, PrincipalId receiver,
                              BytesView msg) const;
-  // Symmetric session key for the unordered pair {a, b}.
-  Bytes pair_key(PrincipalId a, PrincipalId b) const;
+  // Symmetric session key for the unordered pair {a, b}, derived once.
+  const HmacKey& pair_key(PrincipalId a, PrincipalId b) const;
 
   struct PrincipalEntry {
-    Bytes hmac_secret;                       // kHmacSim
+    std::optional<HmacKey> hmac;             // kHmacSim
     std::optional<RsaKeyPair> rsa;           // kRsa
     // Montgomery contexts for the RSA key, built once at registration
     // (setup-time) so the hot sign/verify paths skip the precompute.
@@ -170,8 +180,11 @@ class Keystore {
   // Master secret for pair-key derivation; a function of the seed only
   // (independent of rng_'s stream, so enabling MACs does not perturb
   // the deterministic key generation sequence).
-  Bytes p2p_master_;
+  HmacKey p2p_master_;
   std::map<PrincipalId, PrincipalEntry> principals_;
+  // Pair keys, keyed by min | max << 32, whose LE64 bytes are the
+  // derivation input.
+  mutable std::unordered_map<std::uint64_t, HmacKey> pair_keys_;
   mutable Counters counters_;
   mutable VerifyCache verify_cache_;
 };

@@ -127,6 +127,7 @@ void UdpTransport::send_now(sim::NodeId to, const rpc::Envelope& env) {
     return;
   }
   Writer w;
+  w.reserve(8 + payload.size());
   w.put_u32(kDatagramMagic);
   w.put_u32(id_);
   w.put_raw(payload.view());

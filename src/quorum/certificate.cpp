@@ -4,14 +4,6 @@
 
 namespace bftbc::quorum {
 
-void encode_signature_set(Writer& w, const SignatureSet& sigs) {
-  w.put_varint(sigs.size());
-  for (const auto& [replica, sig] : sigs) {
-    w.put_u32(replica);
-    w.put_bytes(sig);
-  }
-}
-
 SignatureSet decode_signature_set(Reader& r) {
   SignatureSet sigs;
   const std::uint64_t count = r.get_varint();
@@ -86,13 +78,6 @@ Status PrepareCertificate::validate(const QuorumConfig& config,
   return validate_signature_quorum(signatures_, stmt, config, keystore);
 }
 
-void PrepareCertificate::encode(Writer& w) const {
-  w.put_u64(object_);
-  wire::put(w, ts_);
-  wire::put(w, hash_);
-  encode_signature_set(w, signatures_);
-}
-
 PrepareCertificate PrepareCertificate::decode(Reader& r) {
   PrepareCertificate c;
   c.object_ = r.get_u64();
@@ -118,12 +103,6 @@ Status WriteCertificate::validate(const QuorumConfig& config,
   // guards it — an empty signature set never validates.
   const Bytes stmt = write_reply_statement(object_, ts_);
   return validate_signature_quorum(signatures_, stmt, config, keystore);
-}
-
-void WriteCertificate::encode(Writer& w) const {
-  w.put_u64(object_);
-  wire::put(w, ts_);
-  encode_signature_set(w, signatures_);
 }
 
 WriteCertificate WriteCertificate::decode(Reader& r) {

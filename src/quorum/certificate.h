@@ -55,7 +55,9 @@ class PrepareCertificate {
   [[nodiscard]] Status validate(const QuorumConfig& config,
                                 const crypto::Keystore& keystore) const;
 
-  void encode(Writer& w) const;
+  // W is a Writer, or a SizeCounter (util/codec.h) to size the blob.
+  template <typename W>
+  void encode(W& w) const;
   static PrepareCertificate decode(Reader& r);
 
   std::string to_string() const;
@@ -86,7 +88,8 @@ class WriteCertificate {
   [[nodiscard]] Status validate(const QuorumConfig& config,
                                 const crypto::Keystore& keystore) const;
 
-  void encode(Writer& w) const;
+  template <typename W>
+  void encode(W& w) const;
   static WriteCertificate decode(Reader& r);
 
   std::string to_string() const;
@@ -121,7 +124,29 @@ const crypto::Digest& genesis_value_hash();
 // marks the Reader failed (the message is rejected, not truncated).
 inline constexpr std::size_t kMaxSignatureSetEntries = 1024;
 
-void encode_signature_set(Writer& w, const SignatureSet& sigs);
+template <typename W>
+void encode_signature_set(W& w, const SignatureSet& sigs) {
+  w.put_varint(sigs.size());
+  for (const auto& [replica, sig] : sigs) {
+    w.put_u32(replica);
+    w.put_bytes(sig);
+  }
+}
 SignatureSet decode_signature_set(Reader& r);
+
+template <typename W>
+void PrepareCertificate::encode(W& w) const {
+  w.put_u64(object_);
+  wire::put(w, ts_);
+  wire::put(w, hash_);
+  encode_signature_set(w, signatures_);
+}
+
+template <typename W>
+void WriteCertificate::encode(W& w) const {
+  w.put_u64(object_);
+  wire::put(w, ts_);
+  encode_signature_set(w, signatures_);
+}
 
 }  // namespace bftbc::quorum

@@ -73,6 +73,7 @@ struct Envelope {
 
   Bytes encode() const {
     Writer w;
+    w.reserve(2 + 8 + 4 + varint_size(body.size()) + body.size());
     w.put_u16(static_cast<std::uint16_t>(type));
     w.put_u64(rpc_id);
     w.put_u32(sender);

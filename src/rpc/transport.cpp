@@ -38,6 +38,7 @@ void SendCoalescer::flush() {
         continue;
       }
       Writer w;
+      w.reserve(4 + bytes);  // the count, then each prefixed encoding
       w.put_u32(static_cast<std::uint32_t>(end - first));
       for (; first < end; ++first) {
         w.put_bytes(envs[first].shared_encoding().view());

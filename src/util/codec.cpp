@@ -2,19 +2,6 @@
 
 namespace bftbc {
 
-void Writer::put_u16(std::uint16_t v) {
-  put_u8(static_cast<std::uint8_t>(v));
-  put_u8(static_cast<std::uint8_t>(v >> 8));
-}
-
-void Writer::put_u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) put_u8(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void Writer::put_u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) put_u8(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
 void Writer::put_varint(std::uint64_t v) {
   while (v >= 0x80) {
     put_u8(static_cast<std::uint8_t>(v) | 0x80);

@@ -31,8 +31,9 @@
 //   std::vector<T>      u32 count, then the items; decoding stops at the
 //                       first failed read, so a forged count cannot spin
 //   a record            its field list, inline (Timestamp, Nonce, messages)
-//   a blob              a type with its own raw codec, `void encode(Writer&)
-//                       const` and `static T decode(Reader&)` (the quorum
+//   a blob              a type with its own raw codec, `void encode(W&)
+//                       const` for W a Writer or a SizeCounter and
+//                       `static T decode(Reader&)` (the quorum
 //                       certificates): a length-prefixed blob that must
 //                       parse exactly, or the whole message fails
 //
@@ -55,14 +56,24 @@
 
 namespace bftbc {
 
+// Bytes put_varint(v) writes.
+constexpr std::size_t varint_size(std::uint64_t v) {
+  std::size_t n = 1;
+  for (; v >= 0x80; v >>= 7) ++n;
+  return n;
+}
+
 class Writer {
  public:
   Writer() = default;
 
+  // Sizes the buffer for `n` bytes in all, so writing them allocates once.
+  void reserve(std::size_t n) { buf_.reserve(n); }
+
   void put_u8(std::uint8_t v) { buf_.push_back(v); }
-  void put_u16(std::uint16_t v);
-  void put_u32(std::uint32_t v);
-  void put_u64(std::uint64_t v);
+  void put_u16(std::uint16_t v) { put_le(v); }
+  void put_u32(std::uint32_t v) { put_le(v); }
+  void put_u64(std::uint64_t v) { put_le(v); }
   void put_varint(std::uint64_t v);
   void put_bool(bool v) { put_u8(v ? 1 : 0); }
   void put_bytes(BytesView b);
@@ -76,7 +87,36 @@ class Writer {
   std::size_t size() const { return buf_.size(); }
 
  private:
+  // Appends v little-endian, in one step.
+  template <typename U>
+  void put_le(U v) {
+    std::uint8_t le[sizeof(U)];
+    for (std::size_t i = 0; i < sizeof(U); ++i) {
+      le[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+    buf_.insert(buf_.end(), le, le + sizeof(U));
+  }
+
   Bytes buf_;
+};
+
+// A Writer that only counts the bytes it is given. wire::size runs
+// wire::put into one, so an encoding's size comes from the same field
+// list as its bytes.
+class SizeCounter {
+ public:
+  void put_u8(std::uint8_t) { n_ += 1; }
+  void put_u32(std::uint32_t) { n_ += 4; }
+  void put_u64(std::uint64_t) { n_ += 8; }
+  void put_varint(std::uint64_t v) { n_ += varint_size(v); }
+  void put_bool(bool) { n_ += 1; }
+  void put_bytes(BytesView b) { n_ += varint_size(b.size()) + b.size(); }
+  void put_raw(BytesView b) { n_ += b.size(); }
+
+  std::size_t size() const { return n_; }
+
+ private:
+  std::size_t n_ = 0;
 };
 
 class Reader {
@@ -121,8 +161,9 @@ template <typename T>
 concept Record = requires(T& m) { T::fields(m); };
 
 template <typename T>
-concept Blob = requires(const T& v, Writer& w, Reader& r) {
+concept Blob = requires(const T& v, Writer& w, SizeCounter& c, Reader& r) {
   v.encode(w);
+  v.encode(c);
   { T::decode(r) } -> std::same_as<T>;
 };
 
@@ -141,9 +182,10 @@ inline constexpr bool kIsVector<std::vector<T>> = true;
 template <typename T>
 inline constexpr bool kNoWireForm = false;
 
-// Appends one field in its wire form.
-template <typename T>
-void put(Writer& w, const T& v) {
+// Appends one field in its wire form to a Writer, or counts its bytes
+// into a SizeCounter.
+template <typename W, typename T>
+void put(W& w, const T& v) {
   if constexpr (std::is_enum_v<T>) {
     wire::put(w, static_cast<std::underlying_type_t<T>>(v));
   } else if constexpr (std::is_same_v<T, bool>) {
@@ -169,12 +211,23 @@ void put(Writer& w, const T& v) {
     std::apply([&w](const auto&... f) { (wire::put(w, f), ...); },
                T::fields(v));
   } else if constexpr (Blob<T>) {
-    Writer inner;
-    v.encode(inner);
-    w.put_bytes(inner.data());
+    // Length-prefixed in place: the blob is sized first, then encoded
+    // straight into w.
+    SizeCounter blob;
+    v.encode(blob);
+    w.put_varint(blob.size());
+    v.encode(w);
   } else {
     static_assert(kNoWireForm<T>, "type has no wire form");
   }
+}
+
+// Bytes the concatenated wire forms of `fields` take.
+template <typename... Ts>
+std::size_t size(const Ts&... fields) {
+  SizeCounter c;
+  (wire::put(c, fields), ...);
+  return c.size();
 }
 
 // Reads one field in its wire form. On a failed read the Reader's sticky
@@ -228,10 +281,12 @@ T get(Reader& r) {
   }
 }
 
-// The concatenated wire forms of `fields`, e.g. a signed statement.
+// The concatenated wire forms of `fields`, e.g. a signed statement, in
+// a buffer sized once by wire::size.
 template <typename... Ts>
 Bytes encode(const Ts&... fields) {
   Writer w;
+  w.reserve(wire::size(fields...));
   (wire::put(w, fields), ...);
   return std::move(w).take();
 }

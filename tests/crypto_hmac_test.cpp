@@ -83,5 +83,47 @@ TEST(HmacTest, VerifyRejectsTruncatedTag) {
   EXPECT_FALSE(hmac_verify(key, msg, BytesView(tag.data(), 16)));
 }
 
+// A prepared key streams its prefix and message into the kept pad
+// states; the tag must equal the one-shot HMAC of the concatenation for
+// keys shorter than, equal to and longer than a block, and for messages
+// around the one-block padding boundary (55/56) and block multiples.
+TEST(HmacKeyTest, PrefixedMacEqualsReference) {
+  const std::size_t key_lengths[] = {0, 32, 64, 65, 131};
+  const std::size_t msg_lengths[] = {0, 55, 56, 64, 119, 1024};
+  const Bytes prefixes[] = {Bytes{}, Bytes{1, 2, 3, 4},
+                            Bytes{9, 8, 7, 6, 5, 4, 3, 2}};
+  for (const std::size_t kl : key_lengths) {
+    Bytes key(kl);
+    for (std::size_t i = 0; i < kl; ++i) key[i] = static_cast<std::uint8_t>(3 * i + 1);
+    const HmacKey prepared(key);
+    for (const std::size_t ml : msg_lengths) {
+      Bytes msg(ml);
+      for (std::size_t i = 0; i < ml; ++i) msg[i] = static_cast<std::uint8_t>(7 * i);
+      for (const Bytes& prefix : prefixes) {
+        Bytes joined = prefix;
+        joined.insert(joined.end(), msg.begin(), msg.end());
+        const Digest expect = hmac_sha256(key, joined);
+        EXPECT_EQ(prepared.mac(prefix, msg), expect)
+            << "key " << kl << " msg " << ml << " prefix " << prefix.size();
+        // Reusing the prepared key does not disturb its pad states.
+        EXPECT_EQ(prepared.mac(prefix, msg), expect);
+        EXPECT_TRUE(prepared.verify(prefix, msg, digest_view(expect)));
+      }
+      EXPECT_EQ(prepared.mac(msg), hmac_sha256(key, msg));
+    }
+  }
+}
+
+TEST(HmacKeyTest, VerifyRejectsTagOverOtherSplit) {
+  // The tag covers prefix || msg only: moving a byte between the two
+  // parts keeps the tag, anything else changes it.
+  const HmacKey key(to_bytes("secret"));
+  const Digest tag = key.mac(to_bytes("ab"), to_bytes("cd"));
+  EXPECT_TRUE(key.verify(to_bytes("a"), to_bytes("bcd"), digest_view(tag)));
+  EXPECT_FALSE(key.verify(to_bytes("ab"), to_bytes("ce"), digest_view(tag)));
+  EXPECT_FALSE(key.verify(to_bytes("ab"), to_bytes("cd"),
+                          BytesView(tag.data(), 16)));
+}
+
 }  // namespace
 }  // namespace bftbc::crypto

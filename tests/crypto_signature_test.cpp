@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "crypto/hmac.h"
 #include "crypto/nonce.h"
 
 namespace bftbc::crypto {
@@ -89,6 +90,45 @@ TEST_P(SignatureTest, SignatureSizeReported) {
   auto sig = s.sign(to_bytes("m"));
   ASSERT_TRUE(sig.is_ok());
   EXPECT_EQ(sig.value().size(), ks_.signature_size());
+}
+
+// A MAC tag is HMAC(pair key, LE32 sender || LE32 receiver || msg), with
+// pair key = HMAC(master, LE32 min || LE32 max) and master =
+// SHA-256("bftbc-p2p-master-v1:" || LE64 seed). The keystore derives each
+// pair's key on first use; later calls reuse it and give the same tags.
+TEST_P(SignatureTest, MacTagsMatchPairKeyDerivation) {
+  const PrincipalId a = 0x01020304;
+  const PrincipalId b = 7;
+  Signer sa = ks_.register_principal(a);
+  Signer sb = ks_.register_principal(b);
+  auto le = [](Bytes& out, std::uint64_t v, int width) {
+    for (int i = 0; i < width; ++i) {
+      out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
+  };
+  Bytes seed_input = to_bytes("bftbc-p2p-master-v1:");
+  le(seed_input, /*seed=*/5, 8);
+  const Digest master = sha256(seed_input);
+  Bytes pair;
+  le(pair, b, 4);  // min
+  le(pair, a, 4);  // max
+  const Digest pair_key = hmac_sha256(digest_view(master), pair);
+  auto expect_tag = [&](PrincipalId from, PrincipalId to, const Bytes& msg) {
+    Bytes bound;
+    le(bound, from, 4);
+    le(bound, to, 4);
+    bound.insert(bound.end(), msg.begin(), msg.end());
+    return digest_bytes(hmac_sha256(digest_view(pair_key), bound));
+  };
+  const Bytes msg = to_bytes("READ-TS-REPLY nonce=9");
+  for (int round = 0; round < 3; ++round) {
+    EXPECT_EQ(sa.mac(b, msg).value(), expect_tag(a, b, msg)) << round;
+    EXPECT_EQ(sb.mac(a, msg).value(), expect_tag(b, a, msg)) << round;
+    EXPECT_TRUE(ks_.mac_check(a, b, msg, expect_tag(a, b, msg))) << round;
+    EXPECT_TRUE(ks_.mac_check(b, a, msg, expect_tag(b, a, msg))) << round;
+    // The direction is bound: a reply tag never checks as a request tag.
+    EXPECT_FALSE(ks_.mac_check(b, a, msg, expect_tag(a, b, msg))) << round;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSchemes, SignatureTest,

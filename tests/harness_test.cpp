@@ -2,6 +2,7 @@
 // failure paths, and Cluster configuration knobs not covered elsewhere.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -281,6 +282,105 @@ TEST(ClusterRestartTest, ClientTrafficDroppedUntilRecoveryCompletes) {
   ASSERT_TRUE(read.is_ok());
   EXPECT_EQ(read.value().value, to_bytes("during-recovery"));
 }
+
+// ---- READ-REPLY authenticators cover sha256(value) ---------------------
+//
+// A replica authenticates a READ-REPLY with its certificate's digest in
+// place of hashing the value again, which is sound only while
+// pcert().hash() == sha256(data()). A client checks the reply against the
+// value's own hash, so it must verify in every state a correct replica
+// reaches: genesis, after a write, after eviction and reload, and after
+// state transfer. Parameterized on MAC (true) or signature (false) auth.
+
+class ReadReplyAuthTest : public ::testing::TestWithParam<bool> {
+ protected:
+  static constexpr quorum::ClientId kProbe = 66;
+
+  static ClusterOptions options() {
+    ClusterOptions o;
+    o.mac_auth = GetParam();
+    return o;
+  }
+
+  // READs `object` from replica r as client kProbe (a registered principal
+  // with no protocol client) and checks the reply's value and auth.
+  void expect_authentic_read(Cluster& cluster, quorum::ReplicaId r,
+                             quorum::ObjectId object, const Bytes& want) {
+    crypto::Keystore& ks = cluster.keystore();
+    const crypto::PrincipalId me = quorum::client_principal(kProbe);
+    ks.register_principal(me);
+    auto probe = cluster.make_transport(client_node(kProbe));
+    std::optional<core::ReadReply> reply;
+    probe->set_receiver([&](sim::NodeId, const rpc::Envelope& env) {
+      if (env.type == rpc::MsgType::kReadReply) {
+        reply = core::ReadReply::decode(env.body);
+      }
+    });
+    core::ReadRequest req;
+    req.object = object;
+    req.nonce = crypto::Nonce{me, ++rpc_id_, 0};
+    rpc::Envelope env;
+    env.type = rpc::MsgType::kRead;
+    env.rpc_id = rpc_id_;
+    env.sender = me;
+    env.body = req.encode();
+    probe->send(cluster.replica_nodes()[r], env);
+    ASSERT_TRUE(cluster.run_until([&] { return reply.has_value(); }));
+    EXPECT_EQ(reply->value, want);
+    const Bytes payload = reply->signing_payload(crypto::sha256(reply->value));
+    const crypto::PrincipalId from = quorum::replica_principal(r);
+    EXPECT_TRUE(GetParam() ? ks.mac_check(from, me, payload, reply->auth)
+                           : ks.verify(from, payload, reply->auth));
+  }
+
+  std::uint64_t rpc_id_ = 0;
+};
+
+TEST_P(ReadReplyAuthTest, AtGenesis) {
+  Cluster cluster(options());
+  expect_authentic_read(cluster, 0, 1, Bytes{});
+}
+
+TEST_P(ReadReplyAuthTest, AfterWrite) {
+  Cluster cluster(options());
+  auto& c = cluster.add_client(1);
+  ASSERT_TRUE(cluster.write(c, 1, to_bytes("written")).is_ok());
+  cluster.settle();
+  for (quorum::ReplicaId r = 0; r < cluster.config().n; ++r) {
+    expect_authentic_read(cluster, r, 1, to_bytes("written"));
+  }
+}
+
+TEST_P(ReadReplyAuthTest, AfterEvictionAndReload) {
+  ClusterOptions o = options();
+  o.replica.max_resident_objects = 1;
+  Cluster cluster(o);
+  auto& c = cluster.add_client(1);
+  ASSERT_TRUE(cluster.write(c, 1, to_bytes("evicted")).is_ok());
+  ASSERT_TRUE(cluster.write(c, 2, to_bytes("resident")).is_ok());
+  cluster.settle();
+  ASSERT_GE(cluster.replica(0).metrics().get("objects_evicted"), 1u);
+  const std::uint64_t reloads =
+      cluster.replica(0).metrics().get("objects_reloaded");
+  expect_authentic_read(cluster, 0, 1, to_bytes("evicted"));
+  EXPECT_EQ(cluster.replica(0).metrics().get("objects_reloaded"), reloads + 1);
+}
+
+TEST_P(ReadReplyAuthTest, AfterStateTransfer) {
+  Cluster cluster(options());
+  auto& c = cluster.add_client(1);
+  ASSERT_TRUE(cluster.write(c, 1, to_bytes("transferred")).is_ok());
+  cluster.restart_replica(2, {1});
+  ASSERT_TRUE(cluster.run_until(
+      [&] { return !cluster.replica(2).recovering(); }, sim::kSecond));
+  ASSERT_GE(cluster.replica(2).metrics().get("state_recovered_objects"), 1u);
+  expect_authentic_read(cluster, 2, 1, to_bytes("transferred"));
+}
+
+INSTANTIATE_TEST_SUITE_P(Auth, ReadReplyAuthTest, ::testing::Bool(),
+                         [](const auto& info) {
+                           return info.param ? "Mac" : "Signature";
+                         });
 
 TEST(ClusterRestartTest, RecoveryIsDeterministic) {
   auto run = [](std::uint64_t seed) {

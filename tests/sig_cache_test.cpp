@@ -103,6 +103,7 @@ class KeystoreCacheTest : public ::testing::TestWithParam<SignatureScheme> {
 };
 
 TEST_P(KeystoreCacheTest, HitSkipsCryptographicVerify) {
+  ks_.set_verify_cache_capacity(VerifyCache::kDefaultCapacity);
   crypto::Signer s = ks_.register_principal(3);
   const Bytes msg = to_bytes("PREPARE-REPLY ts=<1,3>");
   const Bytes sig = s.sign(msg).value();
@@ -119,6 +120,7 @@ TEST_P(KeystoreCacheTest, HitSkipsCryptographicVerify) {
 }
 
 TEST_P(KeystoreCacheTest, NegativeVerdictsAreCachedToo) {
+  ks_.set_verify_cache_capacity(VerifyCache::kDefaultCapacity);
   ks_.register_principal(4);
   const Bytes msg = to_bytes("statement");
   const Bytes garbage(ks_.signature_size(), 0x5a);
@@ -156,6 +158,7 @@ TEST_P(KeystoreCacheTest, ZeroCapacityFallsBackToRealVerify) {
 }
 
 TEST_P(KeystoreCacheTest, RevocationPurgesPrincipalEntries) {
+  ks_.set_verify_cache_capacity(VerifyCache::kDefaultCapacity);
   crypto::Signer s = ks_.register_principal(6);
   crypto::Signer other = ks_.register_principal(7);
   const Bytes msg = to_bytes("pre-stop statement");
@@ -224,6 +227,36 @@ TEST_P(KeystoreCacheTest, CachedVerifiesCycleThroughSmallCache) {
   EXPECT_GT(misses, fixtures.size() * 2);
 }
 
+// The cache is on by default only for RSA: an HMAC-sim verify costs
+// about what computing a cache key does, so an HMAC-sim keystore starts
+// with capacity 0 and verify_cached goes straight to verify.
+TEST(KeystoreCacheDefaultTest, HmacSimStartsWithCacheOff) {
+  Keystore ks(SignatureScheme::kHmacSim, 13);
+  EXPECT_EQ(ks.verify_cache().capacity(), 0u);
+  crypto::Signer s = ks.register_principal(3);
+  const Bytes msg = to_bytes("statement");
+  const Bytes sig = s.sign(msg).value();
+  Bytes garbage = sig;
+  garbage[0] ^= 0xff;
+  ks.reset_counters();
+
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_TRUE(ks.verify_cached(3, msg, sig));
+    EXPECT_FALSE(ks.verify_cached(3, msg, garbage));
+  }
+  // Every call ran the real check and counted as a miss; nothing was
+  // stored.
+  EXPECT_EQ(ks.counters().get("sig_verify_calls"), 8u);
+  EXPECT_EQ(ks.counters().get("sig_cache_miss"), 8u);
+  EXPECT_EQ(ks.counters().get("sig_cache_hit"), 0u);
+  EXPECT_EQ(ks.verify_cache().size(), 0u);
+}
+
+TEST(KeystoreCacheDefaultTest, RsaStartsWithDefaultCapacity) {
+  Keystore ks(SignatureScheme::kRsa, 13, /*rsa_bits=*/512);
+  EXPECT_EQ(ks.verify_cache().capacity(), VerifyCache::kDefaultCapacity);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllSchemes, KeystoreCacheTest,
                          ::testing::Values(SignatureScheme::kHmacSim,
                                            SignatureScheme::kRsa),
@@ -238,6 +271,7 @@ INSTANTIATE_TEST_SUITE_P(AllSchemes, KeystoreCacheTest,
 TEST(CertificateCacheTest, RepeatedValidationHitsCache) {
   const quorum::QuorumConfig config = quorum::QuorumConfig::bft_bc(1);
   Keystore ks(SignatureScheme::kHmacSim, 21);
+  ks.set_verify_cache_capacity(VerifyCache::kDefaultCapacity);
   quorum::SignatureSet sigs;
   const quorum::Timestamp ts{1, 1};
   const crypto::Digest h = crypto::sha256(as_bytes_view("value"));
@@ -282,6 +316,7 @@ TEST(CertificateCacheTest, EarlyExitStopsAtQuorum) {
 
 TEST(StopClientCacheTest, StopClientPurgesCachedVerifications) {
   harness::Cluster cluster;
+  cluster.keystore().set_verify_cache_capacity(VerifyCache::kDefaultCapacity);
   checker::History history;
   harness::Recorder rec(cluster, history);
   auto& c1 = cluster.add_client(7);

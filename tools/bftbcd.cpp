@@ -13,9 +13,13 @@
 //
 // Shutdown: SIGINT/SIGTERM stop the loop; the replica prints its counter
 // map on exit (reply/drop accounting) for post-run inspection.
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <csignal>
 #include <cstdio>
-#include <functional>
+#include <cstring>
 
 #include "bftbc/replica.h"
 #include "net/cluster_config.h"
@@ -25,11 +29,19 @@
 
 namespace {
 
-// Written by the signal handler, polled by a loop timer: the handler
-// itself must stay async-signal-safe, so it only flips the flag.
-volatile std::sig_atomic_t g_stop = 0;
+// The write end of a self-pipe whose read end the event loop watches.
+// The signal handler only writes one byte (write() is async-signal-safe).
+// A signal that lands before the loop's next epoll_wait leaves the byte
+// buffered, so that wait returns at once: no signal goes unnoticed, and
+// an idle daemon wakes for nothing else.
+int g_stop_pipe = -1;
 
-void handle_signal(int) { g_stop = 1; }
+void handle_signal(int) {
+  const int saved = errno;
+  const char byte = 1;
+  (void)!::write(g_stop_pipe, &byte, 1);
+  errno = saved;
+}
 
 }  // namespace
 
@@ -97,20 +109,15 @@ int main(int argc, char** argv) {
   ropts.mac_auth = cluster.mac_auth();
   core::Replica replica(quorum, r, keystore, transport, loop, ropts);
 
+  int stop_pipe[2];
+  if (::pipe2(stop_pipe, O_NONBLOCK | O_CLOEXEC) != 0) {
+    std::fprintf(stderr, "bftbcd: pipe2: %s\n", std::strerror(errno));
+    return 1;
+  }
+  g_stop_pipe = stop_pipe[1];
+  loop.watch_fd(stop_pipe[0], [&loop] { loop.stop(); });
   std::signal(SIGINT, handle_signal);
   std::signal(SIGTERM, handle_signal);
-  // The stop flag is only a flag; this timer turns it into a loop exit.
-  // run() sleeps until its next timer, and a signal that lands between
-  // this check and epoll_wait does not wake it, so the poll also bounds
-  // how long such a SIGTERM goes unnoticed.
-  std::function<void()> poll_stop = [&] {
-    if (g_stop != 0) {
-      loop.stop();
-      return;
-    }
-    loop.schedule(50 * sim::kMillisecond, poll_stop);
-  };
-  loop.schedule(50 * sim::kMillisecond, poll_stop);
 
   std::printf("bftbcd: shard %u replica %u (%s mode, %s auth, %s) "
               "listening on %s\n",
