@@ -6,7 +6,7 @@
 //   - only the phase-2 response signature is on the critical path: the
 //     phase-3 signature can be computed in the background after phase 2
 //
-// Four parts, lettered as in EXPERIMENTS E8:
+// Five parts, lettered as in EXPERIMENTS E8:
 //   (a) google-benchmark microbenchmarks of the real crypto: RSA-512 /
 //       1024 / 2048 sign+verify vs HMAC-SHA256 (the MAC-based authenticator),
 //       establishing the gap that motivates the optimization — plus the
@@ -18,10 +18,16 @@
 //       workload with real RSA signatures, cached vs uncached, reporting
 //       sig_cache_hit / sig_cache_miss / sig_verify_calls;
 //   (e) MAC-authenticator mode vs signature mode through the full
-//       protocol: RSA verifications per write in each mode.
+//       protocol: RSA verifications per write in each mode;
+//   (g) batched replica signatures: real RSA signs per write with 1, 2,
+//       4 and 8 concurrent writers, each replica signing one Merkle root
+//       per flush of at most four statements.
 #include <benchmark/benchmark.h>
 
 #include <cstring>
+#include <functional>
+#include <string>
+#include <vector>
 
 #include "crypto/bigint.h"
 #include "crypto/hmac.h"
@@ -417,6 +423,97 @@ void report_auth_modes(metrics::BenchReport& report) {
             << harness::Table::num(mac_per_write) << "\n\n";
 }
 
+// ------------------------------------------------------------------
+// Part (g): batched replica signatures, a ladder of concurrent writers.
+
+struct SignLadderRung {
+  std::uint64_t writes = 0;
+  std::uint64_t statements = 0;  // certificate statements replicas signed
+  std::uint64_t rsa_signs = 0;
+  std::uint64_t rsa_verifies = 0;
+};
+
+// `clients` writers, each writing its own object `writes` times in a
+// closed loop, over RSA-512 statements and MAC authenticators (so every
+// RSA signature is a replica's statement root). The links carry no
+// jitter, so the writers stay in lockstep and their requests reach each
+// replica in the same instant, sharing its flushes.
+SignLadderRung measure_sign_ladder(std::uint32_t clients, int writes) {
+  harness::ClusterOptions o;
+  o.seed = 61;
+  o.scheme = crypto::SignatureScheme::kRsa;
+  o.rsa_bits = 512;
+  o.mac_auth = true;
+  o.link.jitter_mean = 0;
+  harness::Cluster cluster(o);
+  std::vector<shard::RoutingClient*> writers;
+  for (quorum::ClientId c = 1; c <= clients; ++c) {
+    writers.push_back(&cluster.add_client(c));
+  }
+  cluster.keystore().reset_counters();
+
+  std::uint32_t finished = 0;
+  std::uint64_t completed = 0;
+  std::function<void(std::size_t, int)> write_next;
+  write_next = [&](std::size_t i, int left) {
+    if (left == 0) {
+      ++finished;
+      return;
+    }
+    writers[i]->write(i + 1, to_bytes("v" + std::to_string(left)),
+                      [&, i, left](Result<core::Client::WriteResult> r) {
+                        if (r.is_ok()) ++completed;
+                        write_next(i, left - 1);
+                      });
+  };
+  for (std::size_t i = 0; i < writers.size(); ++i) write_next(i, writes);
+  (void)cluster.run_until([&] { return finished == clients; });
+
+  SignLadderRung rung;
+  rung.writes = completed;
+  for (quorum::ReplicaId r = 0; r < cluster.config().n; ++r) {
+    const Counters& m = cluster.replica(r).metrics();
+    rung.statements += m.get("sig_foreground") + m.get("sig_background");
+  }
+  const Counters& ks = cluster.keystore().counters();
+  rung.rsa_signs = ks.get("sign");
+  rung.rsa_verifies = ks.get("verify");
+  return rung;
+}
+
+void report_sign_ladder(metrics::BenchReport& report) {
+  harness::print_experiment_header(
+      "E8(g): batched replica signatures",
+      "phase-2/3 reply statements need public-key signatures (3.3.2); "
+      "one RSA signature over the Merkle root of a replica flush's "
+      "statements (at most four) serves them all, so concurrent writers "
+      "share it");
+
+  const int writes = report.smoke() ? 3 : 10;
+  harness::Table table({"writers", "writes", "statements signed",
+                        "RSA signs", "RSA signs / write", "statements / root",
+                        "RSA verifies / write"});
+  for (std::uint32_t clients : {1u, 2u, 4u, 8u}) {
+    const SignLadderRung rung = measure_sign_ladder(clients, writes);
+    const std::string prefix = "sign_ladder/c" + std::to_string(clients);
+    report.counter(prefix + "/writes").set(rung.writes);
+    report.counter(prefix + "/statements").set(rung.statements);
+    report.counter(prefix + "/rsa_signs").set(rung.rsa_signs);
+    report.counter(prefix + "/rsa_verifies").set(rung.rsa_verifies);
+    const auto per = [](std::uint64_t a, std::uint64_t b) {
+      return b == 0 ? 0.0 : static_cast<double>(a) / static_cast<double>(b);
+    };
+    table.add_row({std::to_string(clients), std::to_string(rung.writes),
+                   std::to_string(rung.statements),
+                   std::to_string(rung.rsa_signs),
+                   harness::Table::num(per(rung.rsa_signs, rung.writes)),
+                   harness::Table::num(per(rung.statements, rung.rsa_signs)),
+                   harness::Table::num(per(rung.rsa_verifies, rung.writes))});
+  }
+  table.print();
+  std::cout << "\n";
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -430,6 +527,7 @@ int main(int argc, char** argv) {
   report_background_ablation(report);
   report_verification_cache(report);
   report_auth_modes(report);
+  report_sign_ladder(report);
 
   harness::print_experiment_header(
       "E8(a): raw authentication costs",

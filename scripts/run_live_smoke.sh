@@ -33,11 +33,17 @@ if [[ ! -x "$BFTBCD" || ! -x "$BENCH" ]]; then
 fi
 
 PIDS=()
+LOG_DIRS=()
+# Runs on every exit, after any failure path has printed its logs: stops
+# the daemons, then removes the legs' log directories.
 cleanup() {
   for pid in "${PIDS[@]:-}"; do
     kill "$pid" 2>/dev/null
   done
   wait 2>/dev/null
+  for dir in "${LOG_DIRS[@]:-}"; do
+    [[ -n "$dir" ]] && rm -rf "$dir"
+  done
 }
 trap cleanup EXIT
 
@@ -65,6 +71,7 @@ wait_ready() {
 
 # ---------------------------------------------------------- leg 1: 1 shard
 LOG_DIR="$(mktemp -d)"
+LOG_DIRS+=("$LOG_DIR")
 for r in 0 1 2 3; do
   "$BFTBCD" --config "$CONFIG" --replica "$r" \
     >"$LOG_DIR/replica$r.log" 2>&1 &
@@ -86,6 +93,7 @@ stop_daemons
 # bench routes per key through shard::RoutingClient. The zipfian mixed
 # workload exercises the cross-shard window and both groups' read paths.
 LOG_DIR2="$(mktemp -d)"
+LOG_DIRS+=("$LOG_DIR2")
 for s in 0 1; do
   for r in 0 1 2 3; do
     "$BFTBCD" --config "$CONFIG_2SHARD" --shard "$s" --replica "$r" \

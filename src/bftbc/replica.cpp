@@ -88,7 +88,10 @@ void Replica::flush_batch() {
 
   collecting_replies_ = true;
   current_batch_size_ = batch.size();
+  deferring_ = true;
   for (const PendingEnvelope& p : batch) on_envelope(p.from, p.env);
+  deferring_ = false;
+  finish_replies();
   current_batch_size_ = 0;
   collecting_replies_ = false;
   flush_replies();
@@ -295,6 +298,17 @@ void Replica::reply(sim::NodeId to, rpc::MsgType type, std::uint64_t rpc_id,
   // Replies emitted while dispatching a multi-message batch;
   // "batched_replies" counts them.
   if (current_batch_size_ >= 2) metrics_.inc("batched_replies");
+  if (deferring_) {
+    outgoing_.push_back(Outgoing{to, type, rpc_id, processing_cost,
+                                 std::move(body), {}, std::nullopt});
+    return;
+  }
+  send_reply(to, type, rpc_id, std::move(body), processing_cost);
+}
+
+void Replica::send_reply(sim::NodeId to, rpc::MsgType type,
+                         std::uint64_t rpc_id, Bytes body,
+                         sim::Time processing_cost) {
   rpc::Envelope env;
   env.type = type;
   env.rpc_id = rpc_id;
@@ -323,11 +337,80 @@ void Replica::send_after(sim::NodeId to, rpc::Envelope env,
   }
 }
 
-Bytes Replica::sign_statement_foreground(BytesView stmt, sim::Time& cost) {
+std::uint32_t Replica::stage_statement(Bytes stmt) {
+  staged_.push_back(std::move(stmt));
+  return static_cast<std::uint32_t>(staged_.size() - 1);
+}
+
+std::uint32_t Replica::stage_foreground(Bytes stmt, sim::Time& cost) {
   metrics_.inc("sig_foreground");
   cost += options_.sign_cost;
-  auto sig = signer_.sign(stmt);
-  return sig.is_ok() ? std::move(sig).take() : Bytes{};
+  return stage_statement(std::move(stmt));
+}
+
+void Replica::reply_after_batch(sim::NodeId to, rpc::MsgType type,
+                                std::uint64_t rpc_id, SignedReply rep,
+                                Slots slots,
+                                std::optional<crypto::PrincipalId> auth_to,
+                                sim::Time cost) {
+  outgoing_.push_back(
+      Outgoing{to, type, rpc_id, cost, std::move(rep), slots, auth_to});
+}
+
+void Replica::finish_replies() {
+  std::vector<Bytes> sigs;
+  if (!staged_.empty()) {
+    auto batch = signer_.sign_batch(staged_);
+    // A signer that cannot sign leaves every signature empty, as one
+    // failed sign() did.
+    sigs = batch.is_ok() ? std::move(batch).take()
+                         : std::vector<Bytes>(staged_.size());
+    staged_.clear();
+  }
+  // A slot's signature moves into the one reply that takes it; a shared
+  // slot is copied, its cache entry taking it below.
+  auto fill = [&sigs](Bytes& field, std::uint32_t slot, bool shared) {
+    if (slot == kNoSlot) return;
+    field = shared ? sigs[slot] : std::move(sigs[slot]);
+  };
+  for (Outgoing& out : outgoing_) {
+    if (Bytes* ready = std::get_if<Bytes>(&out.body)) {
+      send_reply(out.to, out.type, out.rpc_id, std::move(*ready), out.cost);
+      continue;
+    }
+    const Slots& slots = out.slots;
+    Bytes body = std::visit(
+        [&](auto& rep) {
+          if constexpr (requires { rep.sig; }) {
+            fill(rep.sig, slots.sig, slots.shared);
+          }
+          if constexpr (requires { rep.prepare_sig; }) {
+            fill(rep.prepare_sig, slots.sig, slots.shared);
+          }
+          if constexpr (requires { rep.strong_write_sig; }) {
+            fill(rep.strong_write_sig, slots.strong, false);
+          }
+          if constexpr (requires { rep.auth; }) {
+            if (out.auth_to.has_value()) {
+              rep.auth =
+                  p2p_auth(*out.auth_to, rep.signing_payload(), out.cost);
+            }
+          }
+          return rep.encode();
+        },
+        std::get<SignedReply>(out.body));
+    reply(out.to, out.type, out.rpc_id, std::move(body), out.cost);
+  }
+  outgoing_.clear();
+  for (const WriteSigKey& key : presigned_) {
+    auto it = write_sig_cache_.find(key);
+    // Entries a write certificate collected during the flush are gone.
+    if (it != write_sig_cache_.end() && it->second.slot != kNoSlot) {
+      it->second.sig = std::move(sigs[it->second.slot]);
+      it->second.slot = kNoSlot;
+    }
+  }
+  presigned_.clear();
 }
 
 Bytes Replica::p2p_auth(crypto::PrincipalId to, BytesView payload,
@@ -349,26 +432,27 @@ Replica::WriteSigKey Replica::write_sig_key(ObjectId object,
 
 void Replica::presign_write_reply(ObjectId object, const Timestamp& ts) {
   // §3.3.2: precompute the phase-3 response signature now, off the
-  // critical path, so the WRITE reply is immediate.
+  // critical path, so the WRITE reply is immediate. It joins this
+  // flush's batch.
   if (!options_.background_write_sigs) return;
   const WriteSigKey key = write_sig_key(object, ts);
-  if (write_sig_cache_.find(key) != write_sig_cache_.end()) return;
-  auto sig = signer_.sign(quorum::write_reply_statement(object, ts));
-  if (sig.is_ok()) {
-    write_sig_cache_[key] = std::move(sig).take();
-    metrics_.inc("sig_background");
-  }
+  auto [it, inserted] = write_sig_cache_.try_emplace(key);
+  if (!inserted) return;
+  it->second.slot = stage_statement(quorum::write_reply_statement(object, ts));
+  presigned_.push_back(key);
+  metrics_.inc("sig_background");
 }
 
-Bytes Replica::write_sig_for(ObjectId object, const Timestamp& ts,
-                             sim::Time& cost) {
+Replica::Slots Replica::write_sig_for(ObjectId object, const Timestamp& ts,
+                                      Bytes& sig, sim::Time& cost) {
   auto it = write_sig_cache_.find(write_sig_key(object, ts));
-  if (it != write_sig_cache_.end()) {
-    metrics_.inc("sig_background_hit");
-    return it->second;
+  if (it == write_sig_cache_.end()) {
+    return {stage_foreground(quorum::write_reply_statement(object, ts), cost)};
   }
-  return sign_statement_foreground(
-      quorum::write_reply_statement(object, ts), cost);
+  metrics_.inc("sig_background_hit");
+  if (it->second.slot != kNoSlot) return {it->second.slot, kNoSlot, true};
+  sig = it->second.sig;
+  return {};
 }
 
 bool Replica::verify_client_sig(quorum::ClientId client, BytesView payload,
@@ -413,21 +497,24 @@ void Replica::handle_read_ts(sim::NodeId from, const rpc::Envelope& env) {
   rep.object = req->object;
   rep.nonce = req->nonce;
   rep.pcert = state.pcert();
+  Slots slots;
   if (options_.strong) {
     // §7: phase-1 reply doubles as a write-certificate component for the
     // replica's current timestamp.
-    rep.strong_write_sig = sign_statement_foreground(
+    slots.strong = stage_foreground(
         quorum::write_reply_statement(req->object, state.pcert().ts()), cost);
   }
   rep.replica = id_;
+  std::optional<crypto::PrincipalId> auth_to;
   if (amortized_auth_for(from)) {
     metrics_.inc("auth_p2p_amortized");
   } else {
-    rep.auth = p2p_auth(env.sender, rep.signing_payload(), cost);
+    auth_to = env.sender;
   }
 
   granted("reply_read_ts");
-  reply(from, rpc::MsgType::kReadTsReply, env.rpc_id, rep.encode(), cost);
+  reply_after_batch(from, rpc::MsgType::kReadTsReply, env.rpc_id,
+                    std::move(rep), slots, auth_to, cost);
 }
 
 // ------------------------------------------------------------ phase 2
@@ -498,12 +585,13 @@ void Replica::handle_prepare(sim::NodeId from, const rpc::Envelope& env) {
   rep.t = req->t;
   rep.hash = req->hash;
   rep.replica = id_;
-  rep.sig = sign_statement_foreground(
-      quorum::prepare_reply_statement(req->object, req->t, req->hash), cost);
+  const Slots slots{stage_foreground(
+      quorum::prepare_reply_statement(req->object, req->t, req->hash), cost)};
   presign_write_reply(req->object, req->t);
 
   granted("reply_prepare");
-  reply(from, rpc::MsgType::kPrepareReply, env.rpc_id, rep.encode(), cost);
+  reply_after_batch(from, rpc::MsgType::kPrepareReply, env.rpc_id,
+                    std::move(rep), slots, std::nullopt, cost);
 }
 
 // ------------------------------------------------------------ phase 3
@@ -551,14 +639,13 @@ void Replica::handle_write(sim::NodeId from, const rpc::Envelope& env) {
   rep.object = req->object;
   rep.ts = req->prep_cert.ts();
   rep.replica = id_;
-  rep.sig = options_.background_write_sigs
-                ? write_sig_for(req->object, rep.ts, cost)
-                : sign_statement_foreground(
-                      quorum::write_reply_statement(req->object, rep.ts),
-                      cost);
+  // Without background_write_sigs the cache stays empty, so this stages
+  // the statement in the foreground.
+  const Slots slots = write_sig_for(req->object, rep.ts, rep.sig, cost);
 
   granted("reply_write");
-  reply(from, rpc::MsgType::kWriteReply, env.rpc_id, rep.encode(), cost);
+  reply_after_batch(from, rpc::MsgType::kWriteReply, env.rpc_id,
+                    std::move(rep), slots, std::nullopt, cost);
 }
 
 // ------------------------------------------------------------ read
@@ -782,11 +869,12 @@ void Replica::handle_read_ts_prep(sim::NodeId from, const rpc::Envelope& env) {
   if (strong_ok) predicted = state.try_opt_prepare(req->client, req->hash);
   record_list_sizes(state);
 
+  Slots slots;
   if (predicted.has_value()) {
     rep.prepared = true;
     rep.predicted_t = *predicted;
     rep.hash = req->hash;
-    rep.prepare_sig = sign_statement_foreground(
+    slots.sig = stage_foreground(
         quorum::prepare_reply_statement(req->object, *predicted, req->hash),
         cost);
     presign_write_reply(req->object, *predicted);
@@ -796,15 +884,17 @@ void Replica::handle_read_ts_prep(sim::NodeId from, const rpc::Envelope& env) {
   }
 
   if (options_.strong) {
-    rep.strong_write_sig = sign_statement_foreground(
+    slots.strong = stage_foreground(
         quorum::write_reply_statement(req->object, state.pcert().ts()), cost);
   }
+  std::optional<crypto::PrincipalId> auth_to;
   if (amortized_auth_for(from)) {
     metrics_.inc("auth_p2p_amortized");
   } else {
-    rep.auth = p2p_auth(env.sender, rep.signing_payload(), cost);
+    auth_to = env.sender;
   }
-  reply(from, rpc::MsgType::kReadTsPrepReply, env.rpc_id, rep.encode(), cost);
+  reply_after_batch(from, rpc::MsgType::kReadTsPrepReply, env.rpc_id,
+                    std::move(rep), slots, auth_to, cost);
 }
 
 }  // namespace bftbc::core

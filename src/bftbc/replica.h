@@ -19,14 +19,23 @@
 // (§3.3.2) the WRITE-REPLY signature for a just-prepared timestamp is
 // precomputed when the PREPARE is answered, so the phase-3 reply pays no
 // foreground signing cost — the ablation bench E8 flips this flag.
+//
+// Batched statement signatures (DESIGN §5): the handlers of one flush
+// stage every certificate statement they sign, and flush_batch signs them
+// all with one Signer::sign_batch after dispatch (one RSA signature per
+// kMaxBatchLeaves statements under kRsa). Replies then get their
+// signatures and point-to-point authenticators and leave in handler
+// order. sign_cost is still charged per statement.
 #pragma once
 
 #include <functional>
 #include <list>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "bftbc/messages.h"
@@ -162,6 +171,8 @@ class Replica {
   // on_envelope (so Byzantine subclass interceptors still see every
   // message). Each handler verifies the signatures it uses, once, in
   // Figure 2's order, and discards the request at the first failure.
+  // The statements the handlers staged are signed in one batch, and the
+  // replies leave in the order the handlers produced them.
   void flush_batch();
 
   // True while the current flush amortizes point-to-point reply
@@ -196,9 +207,15 @@ class Replica {
 
   // Sends a reply after the virtual-time cost accumulated while handling
   // the request (signature/verification charges). Virtual so Byzantine
-  // replicas can tamper with outgoing bytes.
+  // replicas can tamper with outgoing bytes. Called with a reply's final
+  // bytes; inside a flush's dispatch the reply waits for the flush's
+  // earlier replies, so replies leave in handler order.
   virtual void reply(sim::NodeId to, rpc::MsgType type, std::uint64_t rpc_id,
                      Bytes body, sim::Time processing_cost);
+  // reply() without the wait: ships now, or into the flush's ReplyBatch
+  // when amortized_auth_for(to).
+  void send_reply(sim::NodeId to, rpc::MsgType type, std::uint64_t rpc_id,
+                  Bytes body, sim::Time processing_cost);
   // Charges `processing_cost`, then sends `env` now or once it is paid.
   void send_after(sim::NodeId to, rpc::Envelope env,
                   sim::Time processing_cost);
@@ -209,21 +226,54 @@ class Replica {
   // the delay includes time spent waiting for earlier requests.
   sim::Time charge_processing(sim::Time cost);
 
-  // Sign helpers; all tally metrics and return the accumulated cost.
-  Bytes sign_statement_foreground(BytesView stmt, sim::Time& cost);
+  // Statement signing. A staged statement is signed with the rest of
+  // the flush's batch; its slot names its signature there.
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+  std::uint32_t stage_statement(Bytes stmt);
+  // A statement on the reply's critical path: "sig_foreground", charged
+  // sign_cost.
+  std::uint32_t stage_foreground(Bytes stmt, sim::Time& cost);
   // Point-to-point reply authenticator toward principal `to` (the
   // requester's claimed sender principal): a pair MAC in mac_auth mode,
   // a signature otherwise.
   Bytes p2p_auth(crypto::PrincipalId to, BytesView payload, sim::Time& cost);
 
+  // The batch slots a reply's statement-signature fields take their
+  // signatures from: `sig` fills PrepareReply/WriteReply::sig and
+  // ReadTsPrepReply::prepare_sig, `strong` fills strong_write_sig.
+  // `shared` marks a slot the write_sig_cache_ entry also takes (copied
+  // into the reply, moved into the cache).
+  struct Slots {
+    std::uint32_t sig = kNoSlot;
+    std::uint32_t strong = kNoSlot;
+    bool shared = false;
+  };
+  using SignedReply =
+      std::variant<PrepareReply, WriteReply, ReadTsReply, ReadTsPrepReply>;
+  // Queues a reply whose signatures come from this flush's batch. Once
+  // the batch is signed its slots are filled, a READ-TS(-PREP) reply not
+  // amortized into a ReplyBatch gets its authenticator toward `auth_to`
+  // (it covers the signatures), and the bytes go through reply().
+  void reply_after_batch(sim::NodeId to, rpc::MsgType type,
+                         std::uint64_t rpc_id, SignedReply rep, Slots slots,
+                         std::optional<crypto::PrincipalId> auth_to,
+                         sim::Time cost);
+  // Signs the staged statements with one sign_batch, then finishes and
+  // sends every reply dispatch produced, in order, and fills the
+  // presigned WRITE-REPLY signatures.
+  void finish_replies();
+
   // Background-signature cache for WRITE-REPLY statements: with
-  // background_write_sigs, presign_write_reply signs (object, ts)'s
+  // background_write_sigs, presign_write_reply stages (object, ts)'s
   // statement while the prepare is handled, and write_sig_for serves it
-  // (or signs in the foreground on a miss).
+  // (or stages it in the foreground on a miss).
   using WriteSigKey = std::pair<ObjectId, std::pair<std::uint64_t, ClientId>>;
   static WriteSigKey write_sig_key(ObjectId object, const Timestamp& ts);
   void presign_write_reply(ObjectId object, const Timestamp& ts);
-  Bytes write_sig_for(ObjectId object, const Timestamp& ts, sim::Time& cost);
+  // Copies a signature the cache holds into `sig`, or returns the slot
+  // that will hold it.
+  Slots write_sig_for(ObjectId object, const Timestamp& ts, Bytes& sig,
+                      sim::Time& cost);
 
   // Metrics helpers: every handled request ends in exactly one of these.
   // Both bump the named Counters entry; with a bound registry they also
@@ -272,8 +322,16 @@ class Replica {
   // Recency list, most-recent first, with positions for O(log n) touch.
   std::list<ObjectId> lru_;
   std::map<ObjectId, std::list<ObjectId>::iterator> lru_pos_;
-  // (object, ts) → precomputed WRITE-REPLY signature.
-  std::map<WriteSigKey, Bytes> write_sig_cache_;
+  // (object, ts) → precomputed WRITE-REPLY signature. An entry presigned
+  // in the current flush holds its statement's slot until finish_replies
+  // moves the signature in.
+  struct WriteSig {
+    Bytes sig;
+    std::uint32_t slot = kNoSlot;
+  };
+  std::map<WriteSigKey, WriteSig> write_sig_cache_;
+  // Keys presign_write_reply staged in the current flush.
+  std::vector<WriteSigKey> presigned_;
   std::set<quorum::ClientId> acl_;
   Counters metrics_;
 
@@ -296,6 +354,22 @@ class Replica {
     sim::Time cost;
   };
   std::vector<PendingReply> pending_replies_;
+  // The current flush's staged statements, in handler order, and its
+  // replies in the order the handlers produced them: final bytes, or a
+  // reply waiting for the batch. Both keep their capacity across
+  // flushes.
+  std::vector<Bytes> staged_;
+  struct Outgoing {
+    sim::NodeId to = 0;
+    rpc::MsgType type{};
+    std::uint64_t rpc_id = 0;
+    sim::Time cost = 0;
+    std::variant<Bytes, SignedReply> body;
+    Slots slots;
+    std::optional<crypto::PrincipalId> auth_to;
+  };
+  std::vector<Outgoing> outgoing_;
+  bool deferring_ = false;  // true while flush_batch dispatches
   std::map<sim::NodeId, std::size_t> batch_auth_counts_;
   // Sender principal claimed by each node's batched requests, so
   // flush_replies can aim the ReplyBatch MAC in mac_auth mode.

@@ -19,21 +19,41 @@
 // principal can be created (old ones still verify — replays remain
 // possible, as §4.1.1 requires).
 //
+// Batched signatures (kRsa, DESIGN §5): Signer::sign_batch signs one
+// Merkle root per group of at most kMaxBatchLeaves statements, so a
+// replica pays one RSA signature for every statement of a same-tick
+// flush. Each statement still gets its own signature, an opaque Bytes:
+//
+//   nonce[16] || u8 index || u8 depth || depth x sibling[32] || rsa
+//
+// The statement's leaf is SHA-256(0x00 || nonce || statement), an inner
+// node SHA-256(0x01 || left || right), and the tree has 2^depth leaf
+// slots, unused ones the all-zero digest; `rsa` is the RSA signature
+// over 0x02 || LE32 principal || root. The nonce is a PRF of the
+// statement under a per-principal secret derived from the private key,
+// so a leaf whose signature was not released cannot be recomputed from
+// its siblings' proofs. sign() is a one-leaf batch; kHmacSim signs every
+// statement alone.
+//
 // verify_cached memoizes verification verdicts in a bounded flat table
 // with CLOCK eviction (see verify_cache.h): certificates are transferable
 // proofs whose 2f+1 signatures get re-checked at every hop, so the
-// protocol routes all certificate validation through this path. Revoking
-// a principal purges its cache entries, so post-stop checks always
-// re-enter the keystore. The cache is on by default only for kRsa: a
-// kHmacSim verify costs about what computing a cache key does, so an
-// HMAC-sim keystore starts with capacity 0 (DESIGN §5).
+// protocol routes all certificate validation through this path. A kRsa
+// verdict is keyed on the signed root, so every statement of one batch
+// costs one RSA verify. Revoking a principal purges its cache entries, so
+// post-stop checks always re-enter the keystore. The cache is on by
+// default only for kRsa: a kHmacSim verify costs about what computing a
+// cache key does, so an HMAC-sim keystore starts with capacity 0
+// (DESIGN §5).
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <unordered_map>
+#include <vector>
 
 #include "crypto/hmac.h"
 #include "crypto/rsa.h"
@@ -63,6 +83,12 @@ class Signer {
   // Produces 〈msg〉σ_principal. Returns UNAVAILABLE after revocation
   // (the "stop" event) — a stopped client cannot mint new statements.
   [[nodiscard]] Result<Bytes> sign(BytesView msg) const;
+
+  // Signs msgs[i] into element i. kRsa: one RSA signature per root over
+  // each run of at most Keystore::kMaxBatchLeaves consecutive statements;
+  // kHmacSim: sign() per statement. Revocation as for sign().
+  [[nodiscard]] Result<std::vector<Bytes>> sign_batch(
+      std::span<const Bytes> msgs) const;
 
   // Produces the point-to-point MAC tag μ_{principal,peer}(msg). Like
   // sign(), revoked principals get UNAVAILABLE — a stopped client
@@ -94,6 +120,9 @@ class Keystore {
 
   SignatureScheme scheme() const { return scheme_; }
 
+  // Statements one kRsa root covers at most (see the header comment).
+  static constexpr std::size_t kMaxBatchLeaves = 4;
+
   // Registers a principal (idempotent) and returns its signer handle.
   Signer register_principal(PrincipalId p);
 
@@ -101,17 +130,20 @@ class Keystore {
 
   // Public verification — usable by any node, any principal. Always
   // performs the underlying cryptographic check (counter: "verify" /
-  // "sig_verify_calls").
+  // "sig_verify_calls"); a kRsa signature whose proof does not parse
+  // counts as one failed check.
   [[nodiscard]] bool verify(PrincipalId signer, BytesView msg,
                             BytesView sig) const;
 
   // Memoized verification: consults the verify cache keyed on
   // (principal, one SHA-256 over principal, msg and sig) and only falls
-  // back to the real cryptographic check on a miss. Semantically
-  // identical to verify() — both positive and negative verdicts are
-  // cached, and a revocation purges the principal's entries. With the
-  // cache off (capacity 0, the kHmacSim default) it calls verify()
-  // without computing a key. Counters: "sig_cache_hit" /
+  // back to the real cryptographic check on a miss. A kRsa signature
+  // whose proof parses is keyed on its root message and RSA signature
+  // instead, so the verdict serves every statement of its batch.
+  // Semantically identical to verify() — both positive and negative
+  // verdicts are cached, and a revocation purges the principal's
+  // entries. With the cache off (capacity 0, the kHmacSim default) it
+  // calls verify() without computing a key. Counters: "sig_cache_hit" /
   // "sig_cache_miss" (every call with the cache off is a miss).
   [[nodiscard]] bool verify_cached(PrincipalId signer, BytesView msg,
                                    BytesView sig) const;
@@ -155,11 +187,22 @@ class Keystore {
   const Counters& counters() const { return counters_; }
   void reset_counters() { counters_.reset(); }
 
+  // Bytes of a sign() signature: a digest for kHmacSim, a one-leaf
+  // batched signature for kRsa.
   std::size_t signature_size() const;
 
  private:
   friend class Signer;
-  Result<Bytes> sign_internal(PrincipalId p, BytesView msg);
+  struct PrincipalEntry;
+  // Signs msgs[i] into out[i] (sign() passes one statement).
+  Status sign_internal(PrincipalId p, std::span<const BytesView> msgs,
+                       Bytes* out);
+  // Signs one root over msgs (at most kMaxBatchLeaves of them).
+  void sign_root(PrincipalId p, const PrincipalEntry& entry,
+                 std::span<const BytesView> msgs, Bytes* out);
+  // The RSA check of a root message, counted as one verify.
+  bool verify_root(const PrincipalEntry& entry, BytesView root_msg,
+                   BytesView rsa_sig) const;
   Result<Bytes> mac_internal(PrincipalId sender, PrincipalId receiver,
                              BytesView msg) const;
   // Symmetric session key for the unordered pair {a, b}, derived once.
@@ -171,6 +214,8 @@ class Keystore {
     // Montgomery contexts for the RSA key, built once at registration
     // (setup-time) so the hot sign/verify paths skip the precompute.
     std::shared_ptr<const RsaContext> rsa_ctx;
+    // The batch nonce PRF's key, derived from the private key (kRsa).
+    std::optional<HmacKey> nonce_key;
     bool revoked = false;
   };
 

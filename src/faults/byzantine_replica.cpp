@@ -7,7 +7,7 @@ namespace bftbc::faults {
 void GarbageSigReplica::reply(sim::NodeId to, rpc::MsgType type,
                               std::uint64_t rpc_id, Bytes body,
                               sim::Time processing_cost) {
-  if (corrupting_ && !body.empty()) {
+  if (!body.empty()) {
     // Flip a byte near the end, where signatures live in every reply
     // encoding; the statement content stays plausible but verification
     // fails.
@@ -16,13 +16,6 @@ void GarbageSigReplica::reply(sim::NodeId to, rpc::MsgType type,
     metrics_.inc("byz_corrupted_reply");
   }
   Replica::reply(to, type, rpc_id, std::move(body), processing_cost);
-}
-
-void GarbageSigReplica::on_envelope(sim::NodeId from,
-                                    const rpc::Envelope& env) {
-  corrupting_ = true;
-  Replica::on_envelope(from, env);
-  corrupting_ = false;
 }
 
 // -------------------------------------------------------- EquivocSign
@@ -41,10 +34,12 @@ void EquivocSignReplica::on_envelope(sim::NodeId from,
     rep.t = req->t;
     rep.hash = req->hash;
     rep.replica = id_;
-    rep.sig = sign_statement_foreground(
-        quorum::prepare_reply_statement(req->object, req->t, req->hash), cost);
+    const Slots slots{stage_foreground(
+        quorum::prepare_reply_statement(req->object, req->t, req->hash),
+        cost)};
     metrics_.inc("byz_equivoc_sign");
-    reply(from, rpc::MsgType::kPrepareReply, env.rpc_id, rep.encode(), cost);
+    reply_after_batch(from, rpc::MsgType::kPrepareReply, env.rpc_id,
+                      std::move(rep), slots, std::nullopt, cost);
     return;
   }
   Replica::on_envelope(from, env);

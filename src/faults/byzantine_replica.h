@@ -70,13 +70,10 @@ class GarbageSigReplica final : public Replica {
 
  protected:
   // Let the correct implementation build replies, then corrupt the bytes
-  // just before they leave the node.
+  // just before they leave the node. Every reply passes through here
+  // with its final bytes, signed ones after the flush's batch.
   void reply(sim::NodeId to, rpc::MsgType type, std::uint64_t rpc_id,
              Bytes body, sim::Time processing_cost) override;
-  void on_envelope(sim::NodeId from, const rpc::Envelope& env) override;
-
- private:
-  bool corrupting_ = false;
 };
 
 class EquivocSignReplica final : public Replica {

@@ -24,7 +24,146 @@ SignatureSet decode_signature_set(Reader& r) {
   return sigs;
 }
 
-Status validate_signature_quorum(const SignatureSet& signatures,
+// ------------------------------------------------------------ flat set
+
+namespace {
+
+// put_varint's LEB128, read back from a buffer this file wrote.
+std::uint64_t read_varint(const std::uint8_t*& at) {
+  std::uint64_t v = 0;
+  for (int shift = 0;; shift += 7) {
+    const std::uint8_t b = *at++;
+    v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
+    if ((b & 0x80) == 0) return v;
+  }
+}
+
+// Bytes an entry of `sig` takes in the canonical buffer.
+std::size_t entry_size(BytesView sig) {
+  return 4 + varint_size(sig.size()) + sig.size();
+}
+
+// The canonical buffer of a map from replica id to signature, sized
+// exactly.
+template <typename Map>
+Bytes canonical_wire(const Map& entries) {
+  if (entries.empty()) return {};
+  std::size_t bytes = varint_size(entries.size());
+  for (const auto& [replica, sig] : entries) bytes += entry_size(sig);
+  Writer w;
+  w.reserve(bytes);
+  w.put_varint(entries.size());
+  for (const auto& [replica, sig] : entries) {
+    w.put_u32(replica);
+    w.put_bytes(sig);
+  }
+  return std::move(w).take();
+}
+
+}  // namespace
+
+FlatSignatureSet::Iterator::Iterator(const std::uint8_t* at,
+                                     const std::uint8_t* end)
+    : at_(at), end_(end) {
+  load();
+}
+
+void FlatSignatureSet::Iterator::load() {
+  if (at_ == end_) return;
+  const std::uint8_t* p = at_;
+  entry_.replica = static_cast<ReplicaId>(p[0]) |
+                   static_cast<ReplicaId>(p[1]) << 8 |
+                   static_cast<ReplicaId>(p[2]) << 16 |
+                   static_cast<ReplicaId>(p[3]) << 24;
+  p += 4;
+  const std::uint64_t len = read_varint(p);
+  entry_.sig = BytesView(p, static_cast<std::size_t>(len));
+}
+
+FlatSignatureSet::Iterator& FlatSignatureSet::Iterator::operator++() {
+  at_ = entry_.sig.data() + entry_.sig.size();
+  load();
+  return *this;
+}
+
+FlatSignatureSet::FlatSignatureSet(const SignatureSet& sigs)
+    : wire_(canonical_wire(sigs)) {}
+
+FlatSignatureSet::Iterator FlatSignatureSet::begin() const {
+  if (wire_.empty()) return end();
+  const std::uint8_t* at = wire_.data();
+  (void)read_varint(at);
+  return Iterator(at, wire_.data() + wire_.size());
+}
+
+FlatSignatureSet::Iterator FlatSignatureSet::end() const {
+  const std::uint8_t* stop = wire_.data() + wire_.size();
+  return Iterator(stop, stop);
+}
+
+std::size_t FlatSignatureSet::size() const {
+  if (wire_.empty()) return 0;
+  const std::uint8_t* at = wire_.data();
+  return static_cast<std::size_t>(read_varint(at));
+}
+
+SignatureSet FlatSignatureSet::to_set() const {
+  SignatureSet out;
+  for (const auto& [replica, sig] : *this) {
+    out.emplace_hint(out.end(), replica, Bytes(sig.begin(), sig.end()));
+  }
+  return out;
+}
+
+FlatSignatureSet FlatSignatureSet::decode(Reader& r) {
+  // A dry run on a copy of the reader finds the verdict, the buffer size
+  // and whether the ids already arrive strictly increasing, so the
+  // common case copies the entries straight into their buffer.
+  Reader probe = r;
+  const std::uint64_t count = probe.get_varint();
+  if (count > kMaxSignatureSetEntries) {
+    r = probe;
+    r.fail();
+    return {};
+  }
+  bool sorted = true;
+  ReplicaId last = 0;
+  std::size_t bytes = varint_size(count);
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const ReplicaId replica = probe.get_u32();
+    bytes += entry_size(probe.get_bytes_view());
+    if (!probe.ok()) {
+      r = probe;
+      return {};  // never hand back a partial set
+    }
+    if (i != 0 && replica <= last) sorted = false;
+    last = replica;
+  }
+  FlatSignatureSet out;
+  (void)r.get_varint();
+  if (sorted) {
+    if (count == 0) return out;
+    Writer w;
+    w.reserve(bytes);
+    w.put_varint(count);
+    for (std::uint64_t i = 0; i < count; ++i) {
+      w.put_u32(r.get_u32());
+      w.put_bytes(r.get_bytes_view());
+    }
+    out.wire_ = std::move(w).take();
+    return out;
+  }
+  // Repeated or unordered ids: the map decoder's set, last entry winning.
+  std::map<ReplicaId, BytesView> latest;
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const ReplicaId replica = r.get_u32();
+    latest[replica] = r.get_bytes_view();
+  }
+  out.wire_ = canonical_wire(latest);
+  return out;
+}
+
+Status validate_signature_quorum(const FlatSignatureSet& signatures,
                                  BytesView statement,
                                  const QuorumConfig& config,
                                  const crypto::Keystore& keystore) {
@@ -83,7 +222,7 @@ PrepareCertificate PrepareCertificate::decode(Reader& r) {
   c.object_ = r.get_u64();
   c.ts_ = wire::get<Timestamp>(r);
   c.hash_ = wire::get<crypto::Digest>(r);
-  c.signatures_ = decode_signature_set(r);
+  c.signatures_ = FlatSignatureSet::decode(r);
   return c;
 }
 
@@ -109,7 +248,7 @@ WriteCertificate WriteCertificate::decode(Reader& r) {
   WriteCertificate c;
   c.object_ = r.get_u64();
   c.ts_ = wire::get<Timestamp>(r);
-  c.signatures_ = decode_signature_set(r);
+  c.signatures_ = FlatSignatureSet::decode(r);
   return c;
 }
 

@@ -76,13 +76,17 @@ std::uint64_t Reader::get_varint() {
 }
 
 Bytes Reader::get_bytes() {
+  const BytesView v = get_bytes_view();
+  return Bytes(v.begin(), v.end());
+}
+
+BytesView Reader::get_bytes_view() {
   std::uint64_t n = get_varint();
   if (!ok_ || n > remaining()) {
     ok_ = false;
     return {};
   }
-  Bytes out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-            data_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
+  const BytesView out = data_.subspan(pos_, n);
   pos_ += n;
   return out;
 }

@@ -130,6 +130,8 @@ class Reader {
   std::uint64_t get_varint();
   bool get_bool() { return get_u8() != 0; }
   Bytes get_bytes();
+  // get_bytes without the copy: the view points into the input.
+  BytesView get_bytes_view();
   std::string get_string();
   // Read exactly n raw bytes (no length prefix).
   Bytes get_raw(std::size_t n);

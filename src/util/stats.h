@@ -4,7 +4,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace bftbc {
@@ -102,20 +104,26 @@ class Histogram {
 
 // Monotonic counters keyed by name; the metrics sink for protocol
 // instrumentation (messages sent, bytes, signatures computed, ...).
+// Lookups are heterogeneous, so incrementing an existing counter builds
+// no std::string; only a name's first increment allocates its key.
 class Counters {
  public:
-  void inc(const std::string& name, std::uint64_t by = 1) {
-    counts_[name] += by;
+  void inc(std::string_view name, std::uint64_t by = 1) {
+    auto it = counts_.find(name);
+    if (it == counts_.end()) it = counts_.emplace(name, 0).first;
+    it->second += by;
   }
-  std::uint64_t get(const std::string& name) const {
+  std::uint64_t get(std::string_view name) const {
     auto it = counts_.find(name);
     return it == counts_.end() ? 0 : it->second;
   }
   void reset() { counts_.clear(); }
-  const std::map<std::string, std::uint64_t>& all() const { return counts_; }
+  const std::map<std::string, std::uint64_t, std::less<>>& all() const {
+    return counts_;
+  }
 
  private:
-  std::map<std::string, std::uint64_t> counts_;
+  std::map<std::string, std::uint64_t, std::less<>> counts_;
 };
 
 }  // namespace bftbc

@@ -297,7 +297,7 @@ TEST_F(ClientProtocolTest, WritePhase1RejectsForgedCert) {
   // the client must accept none and keep retransmitting (no progress).
   const Bytes value = to_bytes("v");
   auto cert = mint_prep_cert({3, 3}, crypto::sha256(value));
-  quorum::SignatureSet bad_sigs = cert.signatures();
+  quorum::SignatureSet bad_sigs = cert.signatures().to_set();
   for (auto& [r, sig] : bad_sigs) sig[0] ^= 0xff;
   PrepareCertificate forged(kObj, {3, 3}, crypto::sha256(value),
                             bad_sigs);

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "crypto/hmac.h"
 #include "crypto/nonce.h"
 
@@ -156,6 +160,187 @@ TEST(KeystoreTest, DeterministicKeysForSeed) {
   ASSERT_TRUE(siga.is_ok());
   ASSERT_TRUE(sigb.is_ok());
   EXPECT_EQ(siga.value(), sigb.value());
+}
+
+// ------------------------------------------------- batched signatures
+//
+// A kRsa statement signature: nonce[16] || index || depth || depth
+// sibling digests || RSA-512 signature over the root (signature.h).
+
+constexpr std::size_t kNonce = 16;
+constexpr std::size_t kIndexAt = kNonce;
+constexpr std::size_t kDepthAt = kNonce + 1;
+constexpr std::size_t kSiblingsAt = kNonce + 2;
+constexpr std::size_t kRsa512 = 64;
+
+std::vector<Bytes> statements(std::size_t n, const std::string& tag) {
+  std::vector<Bytes> out;
+  for (std::size_t i = 0; i < n; ++i) {
+    out.push_back(to_bytes(tag + " statement " + std::to_string(i)));
+  }
+  return out;
+}
+
+class BatchSignatureTest : public ::testing::Test {
+ protected:
+  Keystore ks_{SignatureScheme::kRsa, /*seed=*/31, /*rsa_bits=*/512};
+  Signer signer_ = ks_.register_principal(2);
+};
+
+TEST_F(BatchSignatureTest, RoundTripOneToNineStatements) {
+  for (std::size_t n = 1; n <= 9; ++n) {
+    const std::vector<Bytes> msgs = statements(n, "n=" + std::to_string(n));
+    ks_.reset_counters();
+    const std::vector<Bytes> sigs = signer_.sign_batch(msgs).value();
+    ASSERT_EQ(sigs.size(), n);
+    // One RSA signature per run of at most four statements.
+    EXPECT_EQ(ks_.counters().get("sign"), (n + 3) / 4) << n;
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t leaves = std::min<std::size_t>(4, n - i / 4 * 4);
+      const std::size_t depth = leaves == 1 ? 0 : leaves == 2 ? 1 : 2;
+      EXPECT_EQ(sigs[i][kIndexAt], i % 4) << n << "/" << i;
+      EXPECT_EQ(sigs[i][kDepthAt], depth) << n << "/" << i;
+      EXPECT_EQ(sigs[i].size(), kSiblingsAt + 32 * depth + kRsa512);
+      EXPECT_TRUE(ks_.verify(2, msgs[i], sigs[i])) << n << "/" << i;
+      EXPECT_TRUE(ks_.verify_cached(2, msgs[i], sigs[i])) << n << "/" << i;
+      // A batch-mate's signature vouches only for its own statement.
+      if (n > 1) {
+        EXPECT_FALSE(ks_.verify(2, msgs[(i + 1) % n], sigs[i]));
+      }
+    }
+  }
+}
+
+TEST_F(BatchSignatureTest, SignIsAOneLeafBatch) {
+  const Bytes msg = to_bytes("WRITE-REPLY ts=<3,1>");
+  const Bytes sig = signer_.sign(msg).value();
+  EXPECT_EQ(sig, signer_.sign_batch(std::vector<Bytes>{msg}).value()[0]);
+  EXPECT_EQ(sig.size(), ks_.signature_size());
+  EXPECT_EQ(sig[kDepthAt], 0);
+}
+
+TEST_F(BatchSignatureTest, EveryTamperedByteIsRejected) {
+  const std::vector<Bytes> msgs = statements(3, "tamper");
+  const std::vector<Bytes> sigs = signer_.sign_batch(msgs).value();
+  for (std::size_t leaf = 0; leaf < msgs.size(); ++leaf) {
+    ASSERT_TRUE(ks_.verify(2, msgs[leaf], sigs[leaf]));
+    // Nonce, index, depth, both siblings and the RSA signature.
+    for (std::size_t at = 0; at < sigs[leaf].size(); ++at) {
+      for (std::uint8_t flip : {0x01, 0x80}) {
+        Bytes bad = sigs[leaf];
+        bad[at] ^= flip;
+        EXPECT_FALSE(ks_.verify(2, msgs[leaf], bad)) << leaf << "@" << at;
+        EXPECT_FALSE(ks_.verify_cached(2, msgs[leaf], bad))
+            << leaf << "@" << at;
+      }
+    }
+    // Truncated or extended proofs do not parse.
+    Bytes shorter(sigs[leaf].begin(), sigs[leaf].end() - 1);
+    Bytes longer = sigs[leaf];
+    longer.push_back(0);
+    EXPECT_FALSE(ks_.verify(2, msgs[leaf], shorter));
+    EXPECT_FALSE(ks_.verify(2, msgs[leaf], longer));
+  }
+}
+
+TEST_F(BatchSignatureTest, OutOfRangeIndexOrDepthIsRejected) {
+  for (std::size_t n : {1, 2, 4}) {
+    const std::vector<Bytes> msgs = statements(n, "range");
+    const Bytes sig = signer_.sign_batch(msgs).value()[0];
+    const std::size_t depth = sig[kDepthAt];
+    for (std::size_t index = std::size_t{1} << depth; index < 256; ++index) {
+      Bytes bad = sig;
+      bad[kIndexAt] = static_cast<std::uint8_t>(index);
+      EXPECT_FALSE(ks_.verify(2, msgs[0], bad)) << n << " index " << index;
+      EXPECT_FALSE(ks_.verify_cached(2, msgs[0], bad));
+    }
+    // A deeper claim, padded with sibling bytes so the length matches.
+    for (std::size_t claimed = depth + 1; claimed < 256; ++claimed) {
+      Bytes bad(sig.begin(), sig.begin() + kSiblingsAt);
+      bad[kDepthAt] = static_cast<std::uint8_t>(claimed);
+      bad.resize(kSiblingsAt + 32 * std::min<std::size_t>(claimed, 8), 0x33);
+      append(bad, BytesView(sig).last(kRsa512));
+      EXPECT_FALSE(ks_.verify(2, msgs[0], bad)) << n << " depth " << claimed;
+    }
+  }
+}
+
+TEST_F(BatchSignatureTest, ReleasedPathCannotVouchForASibling) {
+  // A PREPARE-REPLY and the WRITE-REPLY presigned in the same flush. The
+  // client holds the first's signature, whose sibling is the second's
+  // leaf; without the second's nonce it cannot sign the second
+  // statement, whatever nonce it tries.
+  const std::vector<Bytes> msgs = {to_bytes("PREPARE-REPLY t=<4,2>"),
+                                   to_bytes("WRITE-REPLY t=<4,2>")};
+  const std::vector<Bytes> sigs = signer_.sign_batch(msgs).value();
+  ASSERT_TRUE(ks_.verify(2, msgs[1], sigs[1]));
+  const Bytes& released = sigs[0];
+  // The released leaf, which the forger can compute.
+  Sha256 h;
+  const std::uint8_t leaf_tag = 0x00;
+  h.update(BytesView(&leaf_tag, 1));
+  h.update(BytesView(released).first(kNonce));
+  h.update(msgs[0]);
+  const Digest released_leaf = h.finish();
+
+  EXPECT_FALSE(ks_.verify(2, msgs[1], released));
+  Rng rng(99);
+  std::vector<Bytes> nonces = {Bytes(kNonce, 0),
+                               Bytes(released.begin(),
+                                     released.begin() + kNonce)};
+  for (int i = 0; i < 64; ++i) nonces.push_back(rng.bytes(kNonce));
+  for (const Bytes& nonce : nonces) {
+    Bytes forged = nonce;
+    forged.push_back(1);  // the sibling's index
+    forged.push_back(1);  // depth
+    append(forged, digest_view(released_leaf));
+    append(forged, BytesView(released).last(kRsa512));
+    EXPECT_FALSE(ks_.verify(2, msgs[1], forged));
+    EXPECT_FALSE(ks_.verify_cached(2, msgs[1], forged));
+    // Nor under the released leaf's own index and path.
+    Bytes reused = released;
+    std::copy(nonce.begin(), nonce.end(), reused.begin());
+    EXPECT_FALSE(ks_.verify(2, msgs[1], reused));
+  }
+}
+
+TEST_F(BatchSignatureTest, VerifyCachedChecksEachRootOnce) {
+  const std::vector<Bytes> msgs = statements(6, "cache");
+  const std::vector<Bytes> sigs = signer_.sign_batch(msgs).value();
+  ks_.reset_counters();
+  for (std::size_t i = 0; i < msgs.size(); ++i) {
+    EXPECT_TRUE(ks_.verify_cached(2, msgs[i], sigs[i]));
+  }
+  // Two roots (4 + 2 statements): two RSA verifies, four hits.
+  EXPECT_EQ(ks_.counters().get("verify"), 2u);
+  EXPECT_EQ(ks_.counters().get("sig_cache_hit"), 4u);
+  // A hit still checks the statement against the path.
+  EXPECT_FALSE(ks_.verify_cached(2, msgs[0], sigs[1]));
+}
+
+TEST_F(BatchSignatureTest, NoncesLeaveKeyGenerationUnchanged) {
+  // Signing draws nothing from the keystore's RNG: a principal registered
+  // after a batch gets the key it gets without one.
+  Keystore quiet(SignatureScheme::kRsa, /*seed=*/31, /*rsa_bits=*/512);
+  (void)quiet.register_principal(2);
+  (void)signer_.sign_batch(statements(5, "draw")).value();
+  const Signer after_batch = ks_.register_principal(3);
+  const Signer after_nothing = quiet.register_principal(3);
+  const Bytes msg = to_bytes("statement");
+  EXPECT_EQ(after_batch.sign(msg).value(), after_nothing.sign(msg).value());
+}
+
+TEST(HmacBatchSignatureTest, SignBatchEqualsPerStatementSign) {
+  Keystore ks(SignatureScheme::kHmacSim, 8);
+  const Signer s = ks.register_principal(4);
+  const std::vector<Bytes> msgs = statements(9, "hmac");
+  ks.reset_counters();
+  const std::vector<Bytes> sigs = s.sign_batch(msgs).value();
+  EXPECT_EQ(ks.counters().get("sign"), msgs.size());
+  ASSERT_EQ(sigs.size(), msgs.size());
+  for (std::size_t i = 0; i < msgs.size(); ++i) {
+    EXPECT_EQ(sigs[i], s.sign(msgs[i]).value());
+  }
 }
 
 TEST(NonceTest, NoncesAreUniquePerClient) {

@@ -1,7 +1,10 @@
 // Unit tests for timestamps, quorum configs, statements, certificates.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "quorum/certificate.h"
+#include "util/rng.h"
 
 namespace bftbc::quorum {
 namespace {
@@ -162,7 +165,7 @@ TEST_F(CertificateTest, SubQuorumRejected) {
 
 TEST_F(CertificateTest, ForgedSignatureRejected) {
   auto cert = make_prep_cert(1, {1, 4}, h_, {0, 1, 2});
-  SignatureSet sigs = cert.signatures();
+  SignatureSet sigs = cert.signatures().to_set();
   sigs[2][0] ^= 0xff;  // corrupt one signature
   PrepareCertificate bad(1, {1, 4}, h_, std::move(sigs));
   EXPECT_FALSE(bad.validate(config_, ks_).is_ok());
@@ -173,14 +176,14 @@ TEST_F(CertificateTest, PoisonedSignatureDoesNotInvalidateQuorum) {
   // A Byzantine replica appending a garbage signature alongside an
   // honest quorum must not poison the certificate.
   auto cert = make_prep_cert(1, {1, 4}, h_, {0, 1, 2});
-  SignatureSet sigs = cert.signatures();
+  SignatureSet sigs = cert.signatures().to_set();
   sigs[3] = to_bytes("complete garbage, not a signature");
   PrepareCertificate poisoned(1, {1, 4}, h_, std::move(sigs));
   EXPECT_TRUE(poisoned.validate(config_, ks_).is_ok());
 
   // Same for write certificates.
   auto wcert = make_write_cert(1, {2, 3}, {0, 1, 2});
-  SignatureSet wsigs = wcert.signatures();
+  SignatureSet wsigs = wcert.signatures().to_set();
   wsigs[3] = Bytes(32, 0xee);
   WriteCertificate wpoisoned(1, {2, 3}, std::move(wsigs));
   EXPECT_TRUE(wpoisoned.validate(config_, ks_).is_ok());
@@ -190,7 +193,7 @@ TEST_F(CertificateTest, PoisonedOutOfRangeEntryDoesNotInvalidateQuorum) {
   // An out-of-range replica id is just another invalid entry: skipped,
   // not fatal, as long as a valid quorum remains.
   auto cert = make_prep_cert(1, {1, 4}, h_, {0, 1, 2});
-  SignatureSet sigs = cert.signatures();
+  SignatureSet sigs = cert.signatures().to_set();
   sigs[99] = Bytes(32, 0x11);  // n = 4, so id 99 is out of range
   PrepareCertificate poisoned(1, {1, 4}, h_, std::move(sigs));
   EXPECT_TRUE(poisoned.validate(config_, ks_).is_ok());
@@ -200,7 +203,7 @@ TEST_F(CertificateTest, PoisonedEntriesCannotSubstituteForQuorum) {
   // Garbage entries are skipped but never counted: 2 valid + 2 garbage
   // signatures is still below q = 3.
   auto cert = make_prep_cert(1, {1, 4}, h_, {0, 1});
-  SignatureSet sigs = cert.signatures();
+  SignatureSet sigs = cert.signatures().to_set();
   sigs[2] = Bytes(32, 0xaa);
   sigs[3] = Bytes(32, 0xbb);
   PrepareCertificate bad(1, {1, 4}, h_, std::move(sigs));
@@ -222,7 +225,7 @@ TEST_F(CertificateTest, SignatureFromWrongStatementRejected) {
 
 TEST_F(CertificateTest, OutOfRangeReplicaRejected) {
   auto cert = make_prep_cert(1, {1, 4}, h_, {0, 1, 2});
-  SignatureSet sigs = cert.signatures();
+  SignatureSet sigs = cert.signatures().to_set();
   // Register a principal pretending to be replica 9 (n=4).
   auto rogue = ks_.register_principal(replica_principal(9));
   sigs[9] = rogue.sign(prepare_reply_statement(1, {1, 4}, h_)).value();
@@ -234,7 +237,8 @@ TEST_F(CertificateTest, OutOfRangeReplicaRejected) {
 TEST_F(CertificateTest, CertBoundToObject) {
   // Valid for object 1; claiming object 2 breaks every signature.
   auto cert = make_prep_cert(1, {1, 4}, h_, {0, 1, 2});
-  PrepareCertificate moved(2, cert.ts(), cert.hash(), cert.signatures());
+  PrepareCertificate moved(2, cert.ts(), cert.hash(),
+                           cert.signatures().to_set());
   EXPECT_FALSE(moved.validate(config_, ks_).is_ok());
 }
 
@@ -303,7 +307,7 @@ TEST_F(CertificateTest, SignatureSetTruncationFailsReaderAndYieldsNothing) {
   // partial set (a prefix of a valid certificate is not a certificate).
   auto cert = make_write_cert(1, {2, 3}, {0, 1, 2});
   Writer w;
-  encode_signature_set(w, cert.signatures());
+  encode_signature_set(w, cert.signatures().to_set());
   const Bytes& full = w.data();
   for (std::size_t cut = 1; cut + 1 < full.size(); cut += 7) {
     Reader r(BytesView(full.data(), full.size() - cut));
@@ -333,10 +337,114 @@ TEST_F(CertificateTest, LargerFConfigsWork) {
   EXPECT_TRUE(cert.validate(c5, ks).is_ok());
 
   // One fewer signature fails.
-  SignatureSet fewer = cert.signatures();
+  SignatureSet fewer = cert.signatures().to_set();
   fewer.erase(fewer.begin());
   PrepareCertificate bad(0, ts, h_, std::move(fewer));
   EXPECT_FALSE(bad.validate(c5, ks).is_ok());
+}
+
+// ------------------------------------------------- flat signature set
+
+// A raw signature-set encoding: `count` entries with ids from a small
+// range (so they repeat) or strictly increasing, and signatures of 0-99
+// bytes; sometimes a claimed count that lies or exceeds the cap, a
+// truncation, or trailing bytes.
+Bytes random_signature_set_wire(Rng& rng) {
+  const std::uint64_t count = rng.next_below(7);
+  const bool increasing = rng.next_below(2) == 0;
+  std::uint64_t claimed = count;
+  const std::uint64_t lie = rng.next_below(10);
+  if (lie == 0) claimed = count + 1 + rng.next_below(3);
+  if (lie == 1) claimed = kMaxSignatureSetEntries + 1 + rng.next_below(3);
+  Writer w;
+  w.put_varint(claimed);
+  ReplicaId next = static_cast<ReplicaId>(rng.next_below(3));
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const auto random_id = static_cast<ReplicaId>(rng.next_below(5));
+    const ReplicaId id = increasing ? next : random_id;
+    const auto gap = static_cast<ReplicaId>(1 + rng.next_below(3));
+    next += gap;
+    const std::size_t sig_size = rng.next_below(100);
+    w.put_u32(id);
+    w.put_bytes(rng.bytes(sig_size));
+  }
+  Bytes wire = w.data();
+  const std::uint64_t damage = rng.next_below(6);
+  if (damage == 0 && !wire.empty()) {
+    wire.resize(rng.next_below(wire.size()));
+  } else if (damage == 1) {
+    const std::size_t extra = 1 + rng.next_below(8);
+    append(wire, rng.bytes(extra));
+  }
+  return wire;
+}
+
+TEST(FlatSignatureSetTest, DecodesTheSameSetAsTheMapDecoder) {
+  Rng rng(0x5167);
+  int unsorted = 0, failed = 0;
+  for (int trial = 0; trial < 4000; ++trial) {
+    const Bytes wire = random_signature_set_wire(rng);
+    Reader map_reader(wire);
+    Reader flat_reader(wire);
+    const SignatureSet expected = decode_signature_set(map_reader);
+    const FlatSignatureSet flat = FlatSignatureSet::decode(flat_reader);
+
+    ASSERT_EQ(flat_reader.ok(), map_reader.ok()) << "trial " << trial;
+    if (!map_reader.ok()) ++failed;
+    if (map_reader.ok()) {
+      ASSERT_EQ(flat_reader.remaining(), map_reader.remaining());
+    }
+    ASSERT_EQ(flat.to_set(), expected) << "trial " << trial;
+    ASSERT_EQ(flat.size(), expected.size());
+    ASSERT_EQ(flat.empty(), expected.empty());
+
+    // Iteration visits the map's entries in the map's order.
+    auto it = expected.begin();
+    for (const auto& [replica, sig] : flat) {
+      ASSERT_NE(it, expected.end());
+      EXPECT_EQ(replica, it->first);
+      EXPECT_TRUE(std::equal(sig.begin(), sig.end(), it->second.begin(),
+                             it->second.end()));
+      ++it;
+    }
+    EXPECT_EQ(it, expected.end());
+
+    // Stored and re-encoded in the map's canonical form.
+    Writer flat_wire, map_wire;
+    flat.encode(flat_wire);
+    encode_signature_set(map_wire, expected);
+    ASSERT_EQ(flat_wire.data(), map_wire.data());
+    EXPECT_EQ(flat, FlatSignatureSet(expected));
+    if (!std::equal(wire.begin(), wire.end(), map_wire.data().begin(),
+                    map_wire.data().end())) {
+      ++unsorted;
+    }
+  }
+  // The sample covers canonical, non-canonical and failing encodings.
+  EXPECT_GT(unsorted, 1000);
+  EXPECT_GT(failed, 500);
+}
+
+TEST_F(CertificateTest, RepeatedReplicaCountsOnce) {
+  // One replica's valid signature sent three times is one signature, not
+  // a quorum: decoding keeps one entry per id.
+  const Timestamp ts{1, 4};
+  const Bytes sig =
+      signers_[0].sign(prepare_reply_statement(1, ts, h_)).value();
+  Writer w;
+  w.put_u64(1);
+  wire::put(w, ts);
+  wire::put(w, h_);
+  w.put_varint(3);
+  for (int i = 0; i < 3; ++i) {
+    w.put_u32(0);
+    w.put_bytes(sig);
+  }
+  Reader r(w.data());
+  const PrepareCertificate cert = PrepareCertificate::decode(r);
+  ASSERT_TRUE(r.done());
+  EXPECT_EQ(cert.signatures().size(), 1u);
+  EXPECT_FALSE(cert.validate(config_, ks_).is_ok());
 }
 
 }  // namespace

@@ -4,6 +4,9 @@
 // paper's "stop" event, reached through Recorder::stop_client).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -363,7 +366,7 @@ TEST(StopClientCacheTest, PoisonedCertificateAcceptedInLiveCluster) {
 
   // Grab the replicas' current prepare certificate and poison it.
   auto pcert = cluster.replica(0).object(5).pcert();
-  quorum::SignatureSet sigs = pcert.signatures();
+  quorum::SignatureSet sigs = pcert.signatures().to_set();
   ASSERT_GE(sigs.size(), cluster.config().q);
   quorum::ReplicaId rider = 0;  // first replica id not already signing
   while (sigs.count(rider) != 0) ++rider;
@@ -371,6 +374,70 @@ TEST(StopClientCacheTest, PoisonedCertificateAcceptedInLiveCluster) {
   const quorum::PrepareCertificate poisoned(pcert.object(), pcert.ts(),
                                             pcert.hash(), std::move(sigs));
   EXPECT_TRUE(poisoned.validate(cluster.config(), cluster.keystore()).is_ok());
+}
+
+// ------------------------------------------- batched replica signatures
+
+TEST(BatchedReplicaSignatureTest, OneFlushSharesARootAcrossCertificates) {
+  // A replica answers a PREPARE and presigns its WRITE-REPLY in the same
+  // flush, so its PREPARE-REPLY and WRITE-REPLY signatures come from one
+  // RSA signature over one root, and a validator pays one RSA verify per
+  // replica for both certificates.
+  harness::ClusterOptions o;
+  o.scheme = SignatureScheme::kRsa;
+  o.rsa_bits = 512;
+  o.seed = 5;
+  harness::Cluster cluster(o);
+  auto& c = cluster.add_client(1);
+  ASSERT_TRUE(cluster.write(c, 3, to_bytes("batched")).is_ok());
+  cluster.settle();
+
+  const quorum::PrepareCertificate pcert = cluster.replica(0).object(3).pcert();
+  const std::optional<quorum::WriteCertificate>& wcert =
+      c.shard_client(0).last_write_cert(3);
+  ASSERT_TRUE(wcert.has_value());
+  ASSERT_EQ(wcert->ts(), pcert.ts());
+  const quorum::SignatureSet prepare_sigs = pcert.signatures().to_set();
+  const quorum::SignatureSet write_sigs = wcert->signatures().to_set();
+  ASSERT_EQ(prepare_sigs.size(), cluster.config().q);
+  ASSERT_EQ(write_sigs.size(), cluster.config().q);
+  // Each certificate holds the first q replies, which need not come from
+  // the same replicas; one root per replica either way.
+  auto rsa_part = [](const Bytes& sig) {
+    return Bytes(sig.end() - 64, sig.end());
+  };
+  std::set<Bytes> roots;
+  std::size_t shared = 0;
+  for (const auto& [replica, psig] : prepare_sigs) {
+    roots.insert(rsa_part(psig));
+    auto w = write_sigs.find(replica);
+    if (w == write_sigs.end()) continue;
+    // Two leaves of one tree: different indices, one RSA signature.
+    const Bytes& wsig = w->second;
+    ASSERT_EQ(psig.size(), wsig.size());
+    EXPECT_NE(psig[16], wsig[16]);
+    EXPECT_EQ(rsa_part(psig), rsa_part(wsig));
+    ++shared;
+  }
+  for (const auto& [replica, wsig] : write_sigs) roots.insert(rsa_part(wsig));
+  std::set<quorum::ReplicaId> signers;
+  for (const auto& [replica, sig] : prepare_sigs) signers.insert(replica);
+  for (const auto& [replica, sig] : write_sigs) signers.insert(replica);
+  EXPECT_GE(shared, 2u);
+  EXPECT_EQ(roots.size(), signers.size());
+
+  // A validator with a cold cache pays one RSA verify per root: the
+  // prepare certificate q of them, the write certificate only those of
+  // replicas the prepare certificate did not hold.
+  Keystore& ks = cluster.keystore();
+  ks.set_verify_cache_capacity(0);
+  ks.set_verify_cache_capacity(VerifyCache::kDefaultCapacity);
+  ks.reset_counters();
+  EXPECT_TRUE(pcert.validate(cluster.config(), ks).is_ok());
+  EXPECT_EQ(ks.counters().get("verify"), cluster.config().q);
+  EXPECT_TRUE(wcert->validate(cluster.config(), ks).is_ok());
+  EXPECT_EQ(ks.counters().get("verify"), roots.size());
+  EXPECT_EQ(ks.counters().get("sig_cache_hit"), shared);
 }
 
 }  // namespace
