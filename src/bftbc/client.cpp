@@ -79,6 +79,7 @@ Client::Client(const quorum::QuorumConfig& config, quorum::ClientId id,
     : ClientEndpoint(config, id, keystore, transport, scheduler,
                      std::move(replica_nodes), rng, /*first_rpc_id=*/1),
       options_(options),
+      last_write_cert_(signer_.hash_key()),
       tracer_(options.tracer) {
   replica_principals_.reserve(replica_nodes_.size());
   for (std::size_t i = 0; i < replica_nodes_.size(); ++i) {
@@ -118,8 +119,8 @@ bool Client::has_pending_op(ObjectId object) const {
 const std::optional<WriteCertificate>& Client::last_write_cert(
     ObjectId object) const {
   static const std::optional<WriteCertificate> kNone;
-  auto it = last_write_cert_.find(object);
-  return it == last_write_cert_.end() ? kNone : it->second;
+  const std::uint32_t slot = last_write_cert_.find(object);
+  return slot == last_write_cert_.kNone ? kNone : last_write_cert_[slot];
 }
 
 Result<Bytes> Client::sign_request(BytesView payload) const {
@@ -500,7 +501,7 @@ void Client::start_write_phase3(WriteOp& op) {
 }
 
 void Client::finish_write(WriteOp& op) {
-  last_write_cert_[op.object] =
+  last_write_cert_[last_write_cert_.insert(op.object).first] =
       WriteCertificate(op.object, op.t, op.write_sigs);
   metrics_.inc("write_phases", static_cast<std::uint64_t>(op.phases));
   if (lat_.write_total != nullptr) {

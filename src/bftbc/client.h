@@ -26,6 +26,7 @@
 #include "metrics/registry.h"
 #include "metrics/trace.h"
 #include "rpc/client_endpoint.h"
+#include "util/id_table.h"
 
 namespace bftbc::core {
 
@@ -183,7 +184,8 @@ class Client final : public rpc::ClientEndpoint {
   ClientOptions options_;
 
   std::map<std::uint64_t, std::unique_ptr<OpBase>> ops_;
-  std::map<ObjectId, std::optional<WriteCertificate>> last_write_cert_;
+  // Object → the write certificate of its last completed write.
+  IdTable<std::optional<WriteCertificate>> last_write_cert_;
   std::uint64_t next_op_id_ = 1;
 
   // Pipelined-write state (submit_write).

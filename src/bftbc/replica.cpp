@@ -16,7 +16,8 @@ Replica::Replica(const quorum::QuorumConfig& config, ReplicaId id,
       signer_(keystore.register_principal(quorum::replica_principal(id))),
       transport_(transport),
       sim_(scheduler),
-      options_(options) {
+      options_(options),
+      objects_(options_.max_resident_objects, signer_.hash_key(), metrics_) {
   transport_.set_receiver([this](sim::NodeId from, const rpc::Envelope& env) {
     deliver(from, env);
   });
@@ -27,7 +28,7 @@ Replica::Replica(const quorum::QuorumConfig& config, ReplicaId id,
                                        : options_.metrics_scope);
     grants_ = &scope.counter("grants");
     rejects_ = &scope.counter("rejects");
-    resident_gauge_ = &scope.gauge("resident_objects");
+    objects_.set_resident_gauge(&scope.gauge("resident_objects"));
     plist_size_ = &r.histogram("replica.plist_size");
     optlist_size_ = &r.histogram("replica.optlist_size");
   }
@@ -52,75 +53,90 @@ void Replica::deliver(sim::NodeId from, const rpc::Envelope& env) {
 
 void Replica::flush_batch() {
   flush_scheduled_ = false;
-  std::vector<PendingEnvelope> batch;
-  batch.swap(pending_batch_);
-  if (batch.empty()) return;
+  flushing_.swap(pending_batch_);
+  if (flushing_.empty()) return;
 
   metrics_.inc("batch_flushes");
-  metrics_.inc("batch_verify_msgs", batch.size());
+  metrics_.inc("batch_verify_msgs", flushing_.size());
 
   // Reply-signing amortization: when one node contributed two or more
   // point-to-point-authenticated requests to this batch, the replies to
   // it are captured and shipped as a single ReplyBatch under one
-  // authenticator (handlers skip the per-reply MAC for those).
-  batch_auth_counts_.clear();
-  batch_auth_principal_.clear();
-  for (const PendingEnvelope& p : batch) {
-    switch (p.env.type) {
-      case rpc::MsgType::kReadTs:
-      case rpc::MsgType::kRead:
-        ++batch_auth_counts_[p.from];
-        batch_auth_principal_[p.from] = p.env.sender;
-        break;
-      case rpc::MsgType::kReadTsPrep:
-        if (options_.optimized) {
-          ++batch_auth_counts_[p.from];
-          batch_auth_principal_[p.from] = p.env.sender;
-        }
-        break;
-      default:
-        // Only the client request types above contribute to the batch
-        // reply-auth accounting; everything else in the batch is
-        // dispatched unchanged by on_envelope below.
-        break;
+  // authenticator (handlers skip the per-reply MAC for those). Only the
+  // client request types below count; everything else in the batch is
+  // dispatched unchanged by on_envelope.
+  batch_auth_.clear();
+  for (std::size_t i = 0; i < flushing_.size(); ++i) {
+    const PendingEnvelope& p = flushing_[i];
+    const rpc::MsgType type = p.env.type;
+    if (type == rpc::MsgType::kReadTs || type == rpc::MsgType::kRead ||
+        (type == rpc::MsgType::kReadTsPrep && options_.optimized)) {
+      batch_auth_.push_back(BatchAuth{p.from, i, 1, p.env.sender});
     }
   }
+  // One record per node, ascending; the node's last request names the
+  // principal.
+  std::sort(batch_auth_.begin(), batch_auth_.end(),
+            [](const BatchAuth& a, const BatchAuth& b) {
+              return a.node != b.node ? a.node < b.node : a.seq < b.seq;
+            });
+  std::size_t nodes = 0;
+  for (const BatchAuth& a : batch_auth_) {
+    if (nodes != 0 && batch_auth_[nodes - 1].node == a.node) {
+      ++batch_auth_[nodes - 1].count;
+      batch_auth_[nodes - 1].principal = a.principal;
+    } else {
+      batch_auth_[nodes++] = a;
+    }
+  }
+  batch_auth_.resize(nodes);
 
   collecting_replies_ = true;
-  current_batch_size_ = batch.size();
+  current_batch_size_ = flushing_.size();
   deferring_ = true;
-  for (const PendingEnvelope& p : batch) on_envelope(p.from, p.env);
+  for (const PendingEnvelope& p : flushing_) on_envelope(p.from, p.env);
   deferring_ = false;
   finish_replies();
   current_batch_size_ = 0;
   collecting_replies_ = false;
   flush_replies();
-  batch_auth_counts_.clear();
-  batch_auth_principal_.clear();
+  batch_auth_.clear();
+  flushing_.clear();
+}
+
+const Replica::BatchAuth* Replica::batch_auth_of(sim::NodeId node) const {
+  const auto it = std::lower_bound(
+      batch_auth_.begin(), batch_auth_.end(), node,
+      [](const BatchAuth& a, sim::NodeId n) { return a.node < n; });
+  return it != batch_auth_.end() && it->node == node ? &*it : nullptr;
 }
 
 bool Replica::amortized_auth_for(sim::NodeId to) const {
   if (!collecting_replies_) return false;
-  auto it = batch_auth_counts_.find(to);
-  return it != batch_auth_counts_.end() && it->second >= 2;
+  const BatchAuth* auth = batch_auth_of(to);
+  return auth != nullptr && auth->count >= 2;
 }
 
 void Replica::flush_replies() {
   if (pending_replies_.empty()) return;
-  std::map<sim::NodeId, std::vector<PendingReply>> by_dest;
-  for (PendingReply& p : pending_replies_) {
-    by_dest[p.to].push_back(std::move(p));
-  }
-  pending_replies_.clear();
-  for (auto& [to, group] : by_dest) {
+  // One ReplyBatch per destination, ascending, replies in handler order.
+  std::sort(pending_replies_.begin(), pending_replies_.end(),
+            [](const PendingReply& a, const PendingReply& b) {
+              return a.to != b.to ? a.to < b.to : a.seq < b.seq;
+            });
+  for (auto first = pending_replies_.begin();
+       first != pending_replies_.end();) {
+    const sim::NodeId to = first->to;
     ReplyBatch rb;
     rb.replica = id_;
     sim::Time cost = 0;
-    for (const PendingReply& p : group) {
-      rb.replies.push_back(p.env.encode());
-      cost = std::max(cost, p.cost);
+    for (; first != pending_replies_.end() && first->to == to; ++first) {
+      rb.replies.push_back(first->env.encode());
+      cost = std::max(cost, first->cost);
     }
-    rb.auth = p2p_auth(batch_auth_principal_[to], rb.signing_payload(), cost);
+    const BatchAuth* auth = batch_auth_of(to);
+    rb.auth = p2p_auth(auth != nullptr ? auth->principal : 0,
+                       rb.signing_payload(), cost);
     metrics_.inc("reply_batches");
     rpc::Envelope env;
     env.type = rpc::MsgType::kReplyBatch;
@@ -128,6 +144,7 @@ void Replica::flush_replies() {
     env.body = rb.encode();
     send_after(to, std::move(env), cost);
   }
+  pending_replies_.clear();
 }
 
 void Replica::granted(const char* counter) {
@@ -149,99 +166,24 @@ void Replica::record_list_sizes(const ObjectState& state) {
   }
 }
 
-void Replica::touch_lru(ObjectId id) {
-  if (options_.max_resident_objects == 0) return;
-  auto pos = lru_pos_.find(id);
-  if (pos != lru_pos_.end()) lru_.erase(pos->second);
-  lru_.push_front(id);
-  lru_pos_[id] = lru_.begin();
-}
+ObjectState& Replica::object(ObjectId id) { return *objects_.touch(id).state; }
 
-void Replica::enforce_resident_cap(ObjectId keep) {
-  const std::size_t cap = options_.max_resident_objects;
-  if (cap == 0) return;
-  while (objects_.size() > cap && !lru_.empty()) {
-    // Coldest first; never the object the current handler holds a
-    // reference to.
-    ObjectId victim = lru_.back();
-    if (victim == keep) {
-      if (lru_.size() < 2) break;
-      victim = *std::next(lru_.rbegin());
-    }
-    auto it = objects_.find(victim);
-    if (it != objects_.end()) {
-      Writer w;
-      it->second.encode(w);
-      cold_store_[victim] = std::move(w).take();
-      objects_.erase(it);
-      metrics_.inc("objects_evicted");
-    }
-    auto pos = lru_pos_.find(victim);
-    if (pos != lru_pos_.end()) {
-      lru_.erase(pos->second);
-      lru_pos_.erase(pos);
-    }
-  }
-  if (resident_gauge_ != nullptr) {
-    resident_gauge_->set(static_cast<double>(objects_.size()));
-  }
-}
-
-ObjectState& Replica::object(ObjectId id) {
-  auto it = objects_.find(id);
-  if (it == objects_.end()) {
-    auto cold = cold_store_.find(id);
-    if (cold != cold_store_.end()) {
-      Reader r(cold->second);
-      std::optional<ObjectState> state = ObjectState::decode(r);
-      // The store only ever holds blobs this replica encoded itself, so
-      // a decode failure is a harness bug; fall back to a fresh object
-      // rather than crash (the write certificate chain re-establishes
-      // state via the protocol).
-      if (state.has_value() && r.done()) {
-        it = objects_.emplace(id, std::move(*state)).first;
-        metrics_.inc("objects_reloaded");
-      }
-      cold_store_.erase(cold);
-    }
-    if (it == objects_.end()) {
-      it = objects_.emplace(id, ObjectState(id)).first;
-    }
-    touch_lru(id);
-    enforce_resident_cap(id);
-  } else {
-    touch_lru(id);
-  }
-  return it->second;
-}
-
-void Replica::absorb_and_gc(ObjectState& state, const Timestamp& wcert_ts) {
+void Replica::absorb_and_gc(ObjectTable::Entry& entry,
+                            const Timestamp& wcert_ts) {
+  ObjectState& state = *entry.state;
   const std::size_t reclaimed = state.absorb_write_certificate(wcert_ts);
   if (reclaimed != 0) metrics_.inc("gc_reclaimed", reclaimed);
   state.compact();
-  // Precomputed WRITE-REPLY signatures at or below the certified
-  // timestamp can never be needed again: the certificate proves those
-  // writes completed, and write_ts now rejects their prepares anyway.
-  const ObjectId object = state.object();
-  const auto begin =
-      write_sig_cache_.lower_bound(write_sig_key(object, Timestamp::zero()));
-  std::size_t dropped_sigs = 0;
-  for (auto it = begin;
-       it != write_sig_cache_.end() && it->first.first == object;) {
-    const Timestamp ts{it->first.second.first, it->first.second.second};
-    if (ts <= state.write_ts()) {
-      it = write_sig_cache_.erase(it);
-      ++dropped_sigs;
-    } else {
-      ++it;
-    }
-  }
+  // Presigned WRITE-REPLY signatures at or below the certified timestamp
+  // can never be needed again: the certificate proves those writes
+  // completed, and write_ts now rejects their prepares anyway.
+  const std::size_t dropped_sigs =
+      entry.drop_write_sigs_through(state.write_ts());
   if (dropped_sigs != 0) metrics_.inc("sig_cache_gc", dropped_sigs);
 }
 
 const ObjectState* Replica::find_object(ObjectId id) const {
-  auto it = objects_.find(id);
-  return it == objects_.end() ? nullptr : &it->second;
+  return objects_.find_resident(id);
 }
 
 void Replica::on_envelope(sim::NodeId from, const rpc::Envelope& env) {
@@ -319,8 +261,8 @@ void Replica::send_reply(sim::NodeId to, rpc::MsgType type,
   if (amortized_auth_for(to) && (type == rpc::MsgType::kReadTsReply ||
                                  type == rpc::MsgType::kReadReply ||
                                  type == rpc::MsgType::kReadTsPrepReply)) {
-    pending_replies_.push_back(
-        PendingReply{to, std::move(env), processing_cost});
+    pending_replies_.push_back(PendingReply{to, pending_replies_.size(),
+                                            std::move(env), processing_cost});
     return;
   }
   send_after(to, std::move(env), processing_cost);
@@ -402,12 +344,12 @@ void Replica::finish_replies() {
     reply(out.to, out.type, out.rpc_id, std::move(body), out.cost);
   }
   outgoing_.clear();
-  for (const WriteSigKey& key : presigned_) {
-    auto it = write_sig_cache_.find(key);
-    // Entries a write certificate collected during the flush are gone.
-    if (it != write_sig_cache_.end() && it->second.slot != kNoSlot) {
-      it->second.sig = std::move(sigs[it->second.slot]);
-      it->second.slot = kNoSlot;
+  for (const Presigned& p : presigned_) {
+    ObjectTable::WriteSig* ws = p.entry->find_write_sig(p.ts);
+    // Signatures a write certificate collected during the flush are gone.
+    if (ws != nullptr && ws->slot != kNoSlot) {
+      ws->sig = std::move(sigs[ws->slot]);
+      ws->slot = kNoSlot;
     }
   }
   presigned_.clear();
@@ -425,33 +367,29 @@ Bytes Replica::p2p_auth(crypto::PrincipalId to, BytesView payload,
   return sig.is_ok() ? std::move(sig).take() : Bytes{};
 }
 
-Replica::WriteSigKey Replica::write_sig_key(ObjectId object,
-                                            const Timestamp& ts) {
-  return {object, {ts.val, ts.id}};
-}
-
-void Replica::presign_write_reply(ObjectId object, const Timestamp& ts) {
+void Replica::presign_write_reply(ObjectTable::Entry& entry, ObjectId object,
+                                  const Timestamp& ts) {
   // §3.3.2: precompute the phase-3 response signature now, off the
   // critical path, so the WRITE reply is immediate. It joins this
   // flush's batch.
   if (!options_.background_write_sigs) return;
-  const WriteSigKey key = write_sig_key(object, ts);
-  auto [it, inserted] = write_sig_cache_.try_emplace(key);
-  if (!inserted) return;
-  it->second.slot = stage_statement(quorum::write_reply_statement(object, ts));
-  presigned_.push_back(key);
+  auto [ws, added] = entry.add_write_sig(ts);
+  if (!added) return;
+  ws->slot = stage_statement(quorum::write_reply_statement(object, ts));
+  presigned_.push_back(Presigned{&entry, ts});
   metrics_.inc("sig_background");
 }
 
-Replica::Slots Replica::write_sig_for(ObjectId object, const Timestamp& ts,
+Replica::Slots Replica::write_sig_for(ObjectTable::Entry& entry,
+                                      ObjectId object, const Timestamp& ts,
                                       Bytes& sig, sim::Time& cost) {
-  auto it = write_sig_cache_.find(write_sig_key(object, ts));
-  if (it == write_sig_cache_.end()) {
+  const ObjectTable::WriteSig* ws = entry.find_write_sig(ts);
+  if (ws == nullptr) {
     return {stage_foreground(quorum::write_reply_statement(object, ts), cost)};
   }
   metrics_.inc("sig_background_hit");
-  if (it->second.slot != kNoSlot) return {it->second.slot, kNoSlot, true};
-  sig = it->second.sig;
+  if (ws->slot != kNoSlot) return {ws->slot, kNoSlot, true};
+  sig = ws->sig;
   return {};
 }
 
@@ -525,7 +463,8 @@ void Replica::handle_prepare(sim::NodeId from, const rpc::Envelope& env) {
     dropped("drop_malformed");
     return;
   }
-  ObjectState& state = object(req->object);
+  ObjectTable::Entry& entry = objects_.touch(req->object);
+  ObjectState& state = *entry.state;
   sim::Time cost = 0;
 
   // Figure 2 phase 2 step 1: authentication and certificate checks; the
@@ -569,7 +508,7 @@ void Replica::handle_prepare(sim::NodeId from, const rpc::Envelope& env) {
 
   // Step 2: absorb the client's write certificate (GC of prepare lists).
   if (req->write_cert.has_value()) {
-    absorb_and_gc(state, req->write_cert->ts());
+    absorb_and_gc(entry, req->write_cert->ts());
   }
 
   // Steps 3–4: Plist admission.
@@ -587,7 +526,7 @@ void Replica::handle_prepare(sim::NodeId from, const rpc::Envelope& env) {
   rep.replica = id_;
   const Slots slots{stage_foreground(
       quorum::prepare_reply_statement(req->object, req->t, req->hash), cost)};
-  presign_write_reply(req->object, req->t);
+  presign_write_reply(entry, req->object, req->t);
 
   granted("reply_prepare");
   reply_after_batch(from, rpc::MsgType::kPrepareReply, env.rpc_id,
@@ -602,7 +541,8 @@ void Replica::handle_write(sim::NodeId from, const rpc::Envelope& env) {
     dropped("drop_malformed");
     return;
   }
-  ObjectState& state = object(req->object);
+  ObjectTable::Entry& entry = objects_.touch(req->object);
+  ObjectState& state = *entry.state;
   sim::Time cost = 0;
 
   // Figure 2 phase 3 step 1. The value is hashed once, for the signed
@@ -639,9 +579,9 @@ void Replica::handle_write(sim::NodeId from, const rpc::Envelope& env) {
   rep.object = req->object;
   rep.ts = req->prep_cert.ts();
   rep.replica = id_;
-  // Without background_write_sigs the cache stays empty, so this stages
+  // Without background_write_sigs nothing is presigned, so this stages
   // the statement in the foreground.
-  const Slots slots = write_sig_for(req->object, rep.ts, rep.sig, cost);
+  const Slots slots = write_sig_for(entry, req->object, rep.ts, rep.sig, cost);
 
   granted("reply_write");
   reply_after_batch(from, rpc::MsgType::kWriteReply, env.rpc_id,
@@ -656,7 +596,8 @@ void Replica::handle_read(sim::NodeId from, const rpc::Envelope& env) {
     dropped("drop_malformed");
     return;
   }
-  ObjectState& state = object(req->object);
+  ObjectTable::Entry& entry = objects_.touch(req->object);
+  const ObjectState& state = *entry.state;
   sim::Time cost = 0;
 
   // §3.3.1 speed-up: a write certificate piggybacked on a read GCs the
@@ -665,7 +606,7 @@ void Replica::handle_read(sim::NodeId from, const rpc::Envelope& env) {
   // unconditionally).
   if (req->write_cert.has_value() &&
       valid_cert(*req->write_cert, req->object, cost)) {
-    absorb_and_gc(state, req->write_cert->ts());
+    absorb_and_gc(entry, req->write_cert->ts());
     metrics_.inc("gc_via_read");
   }
 
@@ -740,6 +681,7 @@ void Replica::begin_recovery(const std::vector<ObjectId>& objects,
     const std::uint64_t rpc_id = next_recovery_rpc_++;
     RecoveryCall& rc = recovery_calls_[rpc_id];
     rc.object = obj;
+    rc.snapshots.resize(peer_nodes.size());
     rc.nonce =
         crypto::Nonce{quorum::replica_principal(id_), rpc_id, /*random=*/0};
 
@@ -788,7 +730,9 @@ void Replica::begin_recovery(const std::vector<ObjectId>& objects,
           return false;
         }
       }
-      call.snapshots.emplace(idx, std::move(*snap));
+      if (idx < call.snapshots.size() && !call.snapshots[idx].has_value()) {
+        call.snapshots[idx] = std::move(*snap);
+      }
       return true;
     };
 
@@ -798,13 +742,11 @@ void Replica::begin_recovery(const std::vector<ObjectId>& objects,
       RecoveryCall& call = it->second;
       std::vector<ObjectState> snaps;
       snaps.reserve(call.snapshots.size());
-      for (auto& [idx, s] : call.snapshots) snaps.push_back(std::move(s));
+      for (std::optional<ObjectState>& s : call.snapshots) {
+        if (s.has_value()) snaps.push_back(std::move(*s));
+      }
       const ObjectId obj = call.object;
-      ObjectState rebuilt = ObjectState::recover(obj, snaps, config_.f);
-      objects_.insert_or_assign(obj, std::move(rebuilt));
-      cold_store_.erase(obj);
-      touch_lru(obj);
-      enforce_resident_cap(obj);
+      objects_.install(obj, ObjectState::recover(obj, snaps, config_.f));
       metrics_.inc("state_recovered_objects");
       // Park the finished call: we are inside its on_reply frame.
       retired_recovery_calls_.push_back(std::move(call.call));
@@ -831,7 +773,8 @@ void Replica::handle_read_ts_prep(sim::NodeId from, const rpc::Envelope& env) {
     dropped("drop_malformed");
     return;
   }
-  ObjectState& state = object(req->object);
+  ObjectTable::Entry& entry = objects_.touch(req->object);
+  ObjectState& state = *entry.state;
   sim::Time cost = 0;
 
   if (!is_authorized(req->client)) {
@@ -848,7 +791,7 @@ void Replica::handle_read_ts_prep(sim::NodeId from, const rpc::Envelope& env) {
       dropped("drop_bad_cert");
       return;
     }
-    absorb_and_gc(state, req->write_cert->ts());
+    absorb_and_gc(entry, req->write_cert->ts());
   }
 
   ReadTsPrepReply rep;
@@ -877,7 +820,7 @@ void Replica::handle_read_ts_prep(sim::NodeId from, const rpc::Envelope& env) {
     slots.sig = stage_foreground(
         quorum::prepare_reply_statement(req->object, *predicted, req->hash),
         cost);
-    presign_write_reply(req->object, *predicted);
+    presign_write_reply(entry, req->object, *predicted);
     granted("reply_read_ts_prep_prepared");
   } else {
     granted("reply_read_ts_prep_fallback");

@@ -29,7 +29,6 @@
 #pragma once
 
 #include <functional>
-#include <list>
 #include <map>
 #include <memory>
 #include <optional>
@@ -39,6 +38,7 @@
 #include <vector>
 
 #include "bftbc/messages.h"
+#include "bftbc/object_table.h"
 #include "bftbc/replica_state.h"
 #include "metrics/registry.h"
 #include "rpc/quorum_call.h"
@@ -120,9 +120,10 @@ class Replica {
   // it to observe residency).
   const ObjectState* find_object(ObjectId id) const;
 
-  // Memory-discipline observability (all zero when eviction is off).
-  std::size_t resident_objects() const { return objects_.size(); }
-  std::size_t evicted_objects() const { return cold_store_.size(); }
+  // Memory-discipline observability (evicted is zero when eviction is
+  // off).
+  std::size_t resident_objects() const { return objects_.resident(); }
+  std::size_t evicted_objects() const { return objects_.evicted(); }
 
   // Crash recovery: rebuild the named objects' state from a quorum of
   // peer replicas via STATE-XFER. One QuorumCall per object runs
@@ -241,8 +242,8 @@ class Replica {
   // The batch slots a reply's statement-signature fields take their
   // signatures from: `sig` fills PrepareReply/WriteReply::sig and
   // ReadTsPrepReply::prepare_sig, `strong` fills strong_write_sig.
-  // `shared` marks a slot the write_sig_cache_ entry also takes (copied
-  // into the reply, moved into the cache).
+  // `shared` marks a slot a presigned WRITE-REPLY signature also takes
+  // (copied into the reply, moved into the object's entry).
   struct Slots {
     std::uint32_t sig = kNoSlot;
     std::uint32_t strong = kNoSlot;
@@ -263,17 +264,16 @@ class Replica {
   // presigned WRITE-REPLY signatures.
   void finish_replies();
 
-  // Background-signature cache for WRITE-REPLY statements: with
+  // Presigned WRITE-REPLY statements, kept in the object's entry: with
   // background_write_sigs, presign_write_reply stages (object, ts)'s
   // statement while the prepare is handled, and write_sig_for serves it
   // (or stages it in the foreground on a miss).
-  using WriteSigKey = std::pair<ObjectId, std::pair<std::uint64_t, ClientId>>;
-  static WriteSigKey write_sig_key(ObjectId object, const Timestamp& ts);
-  void presign_write_reply(ObjectId object, const Timestamp& ts);
-  // Copies a signature the cache holds into `sig`, or returns the slot
+  void presign_write_reply(ObjectTable::Entry& entry, ObjectId object,
+                           const Timestamp& ts);
+  // Copies a signature the entry holds into `sig`, or returns the slot
   // that will hold it.
-  Slots write_sig_for(ObjectId object, const Timestamp& ts, Bytes& sig,
-                      sim::Time& cost);
+  Slots write_sig_for(ObjectTable::Entry& entry, ObjectId object,
+                      const Timestamp& ts, Bytes& sig, sim::Time& cost);
 
   // Metrics helpers: every handled request ends in exactly one of these.
   // Both bump the named Counters entry; with a bound registry they also
@@ -301,39 +301,24 @@ class Replica {
   sim::Scheduler& sim_;
   ReplicaOptions options_;
 
-  // Absorbs a write certificate into `state`, tallying reclaimed
-  // prepare/optlist entries ("gc_reclaimed") and dropping the
-  // now-superseded precomputed WRITE-REPLY signatures for the object
+  // Absorbs a write certificate into the entry's state, tallying
+  // reclaimed prepare/optlist entries ("gc_reclaimed") and dropping the
+  // now-superseded presigned WRITE-REPLY signatures for the object
   // ("sig_cache_gc") — the write certificate proves those timestamps
   // completed, so no future WRITE for them needs the cached signature.
-  void absorb_and_gc(ObjectState& state, const Timestamp& wcert_ts);
+  void absorb_and_gc(ObjectTable::Entry& entry, const Timestamp& wcert_ts);
 
-  // LRU maintenance for the resident-object cap.
-  void touch_lru(ObjectId id);
-  // Evicts coldest objects until the cap holds, never evicting `keep`
-  // (the object the current handler still references).
-  void enforce_resident_cap(ObjectId keep);
-
-  std::map<ObjectId, ObjectState> objects_;
-  // Serialized ObjectStates evicted under max_resident_objects — the
-  // stand-in for a real cold store (disk / remote KV). Blobs round-trip
-  // through ObjectState::encode/decode, lists included.
-  std::map<ObjectId, Bytes> cold_store_;
-  // Recency list, most-recent first, with positions for O(log n) touch.
-  std::list<ObjectId> lru_;
-  std::map<ObjectId, std::list<ObjectId>::iterator> lru_pos_;
-  // (object, ts) → precomputed WRITE-REPLY signature. An entry presigned
-  // in the current flush holds its statement's slot until finish_replies
-  // moves the signature in.
-  struct WriteSig {
-    Bytes sig;
-    std::uint32_t slot = kNoSlot;
-  };
-  std::map<WriteSigKey, WriteSig> write_sig_cache_;
-  // Keys presign_write_reply staged in the current flush.
-  std::vector<WriteSigKey> presigned_;
-  std::set<quorum::ClientId> acl_;
   Counters metrics_;
+  // Every object's state, resident or evicted, and its presigned
+  // WRITE-REPLY signatures (object_table.h).
+  ObjectTable objects_;
+  // The signatures presign_write_reply staged in the current flush.
+  struct Presigned {
+    ObjectTable::Entry* entry;
+    Timestamp ts;
+  };
+  std::vector<Presigned> presigned_;
+  std::set<quorum::ClientId> acl_;
 
   // Same-tick batching state. `current_batch_size_` is nonzero only
   // while flush_batch is dispatching, so reply() can attribute replies
@@ -343,6 +328,9 @@ class Replica {
     rpc::Envelope env;
   };
   std::vector<PendingEnvelope> pending_batch_;
+  // The batch flush_batch dispatches; it and pending_batch_ swap, so
+  // both keep their capacity.
+  std::vector<PendingEnvelope> flushing_;
   sim::TimerId flush_timer_ = 0;
   bool flush_scheduled_ = false;
   std::size_t current_batch_size_ = 0;
@@ -350,6 +338,7 @@ class Replica {
   // Reply-signing amortization state (valid only inside flush_batch).
   struct PendingReply {
     sim::NodeId to;
+    std::size_t seq;  // production order, kept within a destination
     rpc::Envelope env;
     sim::Time cost;
   };
@@ -370,10 +359,18 @@ class Replica {
   };
   std::vector<Outgoing> outgoing_;
   bool deferring_ = false;  // true while flush_batch dispatches
-  std::map<sim::NodeId, std::size_t> batch_auth_counts_;
-  // Sender principal claimed by each node's batched requests, so
-  // flush_replies can aim the ReplyBatch MAC in mac_auth mode.
-  std::map<sim::NodeId, crypto::PrincipalId> batch_auth_principal_;
+  // Each node that sent point-to-point-authenticated requests in the
+  // current flush, ascending by node: how many, and the sender principal
+  // the last one claimed (flush_replies aims the ReplyBatch MAC at it in
+  // mac_auth mode). Kept across flushes for its capacity.
+  struct BatchAuth {
+    sim::NodeId node = 0;
+    std::size_t seq = 0;  // the node's last request's index in the batch
+    std::size_t count = 0;
+    crypto::PrincipalId principal = 0;
+  };
+  std::vector<BatchAuth> batch_auth_;
+  const BatchAuth* batch_auth_of(sim::NodeId node) const;
   bool collecting_replies_ = false;
 
   // Serial-server watermark (serialize_processing): the virtual time at
@@ -388,7 +385,8 @@ class Replica {
   struct RecoveryCall {
     ObjectId object = 0;
     crypto::Nonce nonce;
-    std::map<std::uint32_t, ObjectState> snapshots;
+    // By peer index; the first valid snapshot from each peer.
+    std::vector<std::optional<ObjectState>> snapshots;
     std::unique_ptr<rpc::QuorumCall> call;
   };
   std::map<std::uint64_t, RecoveryCall> recovery_calls_;
@@ -401,7 +399,6 @@ class Replica {
   // Pre-resolved registry handles (all null without options.registry).
   metrics::Counter* grants_ = nullptr;
   metrics::Counter* rejects_ = nullptr;
-  metrics::Gauge* resident_gauge_ = nullptr;
   Histogram* plist_size_ = nullptr;
   Histogram* optlist_size_ = nullptr;
 };

@@ -1,30 +1,42 @@
 #include "bftbc/replica_state.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace bftbc::core {
 
-std::size_t ObjectState::absorb_write_certificate(const Timestamp& wcert_ts) {
-  if (wcert_ts > write_ts_) write_ts_ = wcert_ts;
-  std::size_t reclaimed = 0;
-  auto gc = [this, &reclaimed](std::map<ClientId, PlistEntry>& list) {
-    for (auto it = list.begin(); it != list.end();) {
-      if (it->second.t <= write_ts_) {
-        it = list.erase(it);
-        ++reclaimed;
-      } else {
-        ++it;
-      }
-    }
-  };
-  gc(plist_);
-  gc(optlist_);
-  return reclaimed;
+const PlistEntry& PrepareList::at(ClientId c) const {
+  const auto it = find(c);
+  if (it == end()) throw std::out_of_range("PrepareList::at: no entry");
+  return it->second;
 }
 
-ObjectState::ListOutcome ObjectState::admit(
-    std::map<ClientId, PlistEntry>& list, ClientId c, const Timestamp& t,
-    const crypto::Digest& h) {
+PrepareList::const_iterator PrepareList::lower_bound(ClientId c) const {
+  return std::lower_bound(
+      entries_.begin(), entries_.end(), c,
+      [](const value_type& e, ClientId client) { return e.first < client; });
+}
+
+bool PrepareList::emplace(ClientId c, const PlistEntry& entry) {
+  const auto it = lower_bound(c);
+  if (it != end() && it->first == c) return false;
+  entries_.insert(it, value_type{c, entry});
+  return true;
+}
+
+std::size_t ObjectState::absorb_write_certificate(const Timestamp& wcert_ts) {
+  if (wcert_ts > write_ts_) write_ts_ = wcert_ts;
+  auto gc = [this](PrepareList& list) {
+    return std::erase_if(list.entries_, [this](const auto& e) {
+      return e.second.t <= write_ts_;
+    });
+  };
+  return gc(plist_) + gc(optlist_);
+}
+
+ObjectState::ListOutcome ObjectState::admit(PrepareList& list, ClientId c,
+                                            const Timestamp& t,
+                                            const crypto::Digest& h) {
   auto it = list.find(c);
   if (it != list.end()) {
     if (it->second.t != t || it->second.h != h) return ListOutcome::kConflict;
@@ -54,7 +66,7 @@ std::optional<Timestamp> ObjectState::try_opt_prepare(ClientId c,
   // A client may occupy at most one slot per list (§6.1); the optimistic
   // prepare is abandoned when the client already holds a *different*
   // entry in either list.
-  auto conflicts = [&](const std::map<ClientId, PlistEntry>& list) {
+  auto conflicts = [&](const PrepareList& list) {
     auto it = list.find(c);
     return it != list.end() &&
            (it->second.t != predicted || it->second.h != h);
@@ -93,7 +105,7 @@ void ObjectState::compact() {
 
 namespace {
 
-void encode_list(Writer& w, const std::map<ClientId, PlistEntry>& list) {
+void encode_list(Writer& w, const PrepareList& list) {
   w.put_varint(list.size());
   for (const auto& [c, entry] : list) {
     w.put_u32(c);
@@ -102,7 +114,9 @@ void encode_list(Writer& w, const std::map<ClientId, PlistEntry>& list) {
   }
 }
 
-bool decode_list(Reader& r, std::map<ClientId, PlistEntry>& list) {
+}  // namespace
+
+bool ObjectState::decode_list(Reader& r, PrepareList& list) {
   const std::uint64_t count = r.get_varint();
   // Lists hold at most one entry per client; a length beyond any
   // plausible client population means the blob is corrupt.
@@ -111,18 +125,32 @@ bool decode_list(Reader& r, std::map<ClientId, PlistEntry>& list) {
     r.fail();
     return false;
   }
+  constexpr std::size_t kEntryBytes = 4 + 12 + crypto::kDigestSize;
+  std::vector<PrepareList::value_type>& out = list.entries_;
+  out.reserve(std::min<std::uint64_t>(count, r.remaining() / kEntryBytes));
   for (std::uint64_t i = 0; i < count; ++i) {
     const ClientId c = r.get_u32();
     PlistEntry entry;
     entry.t = wire::get<Timestamp>(r);
     entry.h = wire::get<crypto::Digest>(r);
     if (!r.ok()) return false;
-    list.emplace(c, entry);
+    out.emplace_back(c, entry);
   }
+  // Blobs this replica encoded are sorted already. Any other order (a
+  // peer's snapshot) sorts stably, and a client's first claim wins.
+  auto by_client = [](const auto& a, const auto& b) {
+    return a.first < b.first;
+  };
+  if (!std::is_sorted(out.begin(), out.end(), by_client)) {
+    std::stable_sort(out.begin(), out.end(), by_client);
+  }
+  out.erase(std::unique(out.begin(), out.end(),
+                        [](const auto& a, const auto& b) {
+                          return a.first == b.first;
+                        }),
+            out.end());
   return true;
 }
-
-}  // namespace
 
 void ObjectState::encode(Writer& w) const {
   w.put_u64(object_);

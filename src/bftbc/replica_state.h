@@ -11,9 +11,9 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "crypto/sha256.h"
@@ -36,6 +36,38 @@ struct PlistEntry {
   }
 };
 
+// One prepare list (Plist or optlist): at most one entry per client, in
+// one vector sorted by client id, the order its encoding lists them in.
+// Read like the std::map it replaced: size, empty, count, at, find, and
+// range-for over (client, entry) pairs. Only ObjectState changes it.
+class PrepareList {
+ public:
+  using value_type = std::pair<ClientId, PlistEntry>;
+  using const_iterator = std::vector<value_type>::const_iterator;
+
+  std::size_t size() const { return entries_.size(); }
+  bool empty() const { return entries_.empty(); }
+  const_iterator begin() const { return entries_.begin(); }
+  const_iterator end() const { return entries_.end(); }
+
+  const_iterator find(ClientId c) const {
+    const auto it = lower_bound(c);
+    return it != end() && it->first == c ? it : end();
+  }
+  std::size_t count(ClientId c) const { return find(c) != end() ? 1 : 0; }
+  // Throws std::out_of_range when c has no entry, as std::map::at does.
+  const PlistEntry& at(ClientId c) const;
+
+ private:
+  friend class ObjectState;
+
+  const_iterator lower_bound(ClientId c) const;
+  // Adds c's entry unless c already has one; true if added.
+  bool emplace(ClientId c, const PlistEntry& entry);
+
+  std::vector<value_type> entries_;
+};
+
 class ObjectState {
  public:
   explicit ObjectState(ObjectId object)
@@ -46,8 +78,8 @@ class ObjectState {
   const Bytes& data() const { return data_; }
   const PrepareCertificate& pcert() const { return pcert_; }
   const Timestamp& write_ts() const { return write_ts_; }
-  const std::map<ClientId, PlistEntry>& plist() const { return plist_; }
-  const std::map<ClientId, PlistEntry>& optlist() const { return optlist_; }
+  const PrepareList& plist() const { return plist_; }
+  const PrepareList& optlist() const { return optlist_; }
 
   // Figure 2, phase 2, step 2: absorb a write certificate — bump
   // write_ts and garbage-collect both prepare lists. Returns the number
@@ -117,16 +149,19 @@ class ObjectState {
                              std::uint32_t f);
 
  private:
+  // Reads one list of an encoded state into `list` (empty on entry).
+  static bool decode_list(Reader& r, PrepareList& list);
+
   // Shared step-3/4 logic for one list.
   enum class ListOutcome { kConflict, kAdmitted, kAlreadyPresent, kStale };
-  ListOutcome admit(std::map<ClientId, PlistEntry>& list, ClientId c,
-                    const Timestamp& t, const crypto::Digest& h);
+  ListOutcome admit(PrepareList& list, ClientId c, const Timestamp& t,
+                    const crypto::Digest& h);
 
   ObjectId object_;
   Bytes data_;
   PrepareCertificate pcert_;
-  std::map<ClientId, PlistEntry> plist_;
-  std::map<ClientId, PlistEntry> optlist_;
+  PrepareList plist_;
+  PrepareList optlist_;
   Timestamp write_ts_;
 };
 

@@ -268,10 +268,4 @@ int compare_digests(const Digest& a, const Digest& b) {
   return std::memcmp(a.data(), b.data(), kDigestSize);
 }
 
-bool digest_from_bytes(BytesView b, Digest& out) {
-  if (b.size() != kDigestSize) return false;
-  std::memcpy(out.data(), b.data(), kDigestSize);
-  return true;
-}
-
 }  // namespace bftbc::crypto

@@ -57,7 +57,4 @@ inline Bytes digest_bytes(const Digest& d) {
 // same timestamp (§6.1: "order ... by the numeric order on their hashes").
 int compare_digests(const Digest& a, const Digest& b);
 
-// Parse a 32-byte buffer into a Digest; returns false on size mismatch.
-bool digest_from_bytes(BytesView b, Digest& out);
-
 }  // namespace bftbc::crypto

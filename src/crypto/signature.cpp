@@ -45,6 +45,20 @@ Digest p2p_master(std::uint64_t seed) {
   return sha256(seed_input);
 }
 
+// A principal's hash-table key: the first 16 bytes of SHA-256 over a
+// domain tag and the principal's secret, read as two LE64 words. One-way
+// in the secret, so holding it reveals nothing a signature needs.
+HashKey derive_hash_key(BytesView secret) {
+  Bytes input = to_bytes("bftbc-hash-key-v1:");
+  append(input, secret);
+  const Digest d = sha256(input);
+  HashKey key{};
+  for (std::size_t i = 0; i < 16; ++i) {
+    key[i / 8] |= static_cast<std::uint64_t>(d[i]) << (8 * (i % 8));
+  }
+  return key;
+}
+
 // ---------------------------------------------------- batched signatures
 //
 // Layout and hashes as in signature.h: nonce || index || depth ||
@@ -151,6 +165,11 @@ Result<std::vector<Bytes>> Signer::sign_batch(
   return sigs;
 }
 
+HashKey Signer::hash_key() const {
+  return keystore_ == nullptr ? HashKey{}
+                              : keystore_->principals_.at(principal_).hash_key;
+}
+
 Result<Bytes> Signer::mac(PrincipalId peer, BytesView msg) const {
   if (keystore_ == nullptr)
     return unavailable("signer not bound to a keystore");
@@ -186,7 +205,9 @@ Signer Keystore::register_principal(PrincipalId p) {
   auto [it, inserted] = principals_.try_emplace(p);
   if (inserted) {
     if (scheme_ == SignatureScheme::kHmacSim) {
-      it->second.hmac.emplace(rng_.bytes(32));
+      const Bytes secret = rng_.bytes(32);
+      it->second.hmac.emplace(secret);
+      it->second.hash_key = derive_hash_key(secret);
     } else {
       it->second.rsa = rsa_generate(rng_, rsa_bits_);
       it->second.rsa_ctx = std::make_shared<RsaContext>(it->second.rsa->priv);
@@ -196,6 +217,7 @@ Signer Keystore::register_principal(PrincipalId p) {
       Bytes nonce_seed = to_bytes("bftbc-batch-nonce-v1:");
       append(nonce_seed, it->second.rsa->priv.d.to_bytes());
       it->second.nonce_key.emplace(digest_view(sha256(nonce_seed)));
+      it->second.hash_key = derive_hash_key(it->second.rsa->priv.d.to_bytes());
     }
   }
   return Signer(this, p);

@@ -59,6 +59,7 @@
 #include "crypto/rsa.h"
 #include "crypto/verify_cache.h"
 #include "util/bytes.h"
+#include "util/id_table.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/status.h"
@@ -100,6 +101,11 @@ class Signer {
   // peers[i]. Receivers check only their own slice.
   [[nodiscard]] Result<Bytes> mac_authenticator(
       const std::vector<PrincipalId>& peers, BytesView msg) const;
+
+  // A 128-bit secret of this principal for keying its own hash tables
+  // (util/id_table.h), derived once from its private key at registration
+  // and never sent. Zero for an unbound signer.
+  HashKey hash_key() const;
 
  private:
   friend class Keystore;
@@ -216,6 +222,7 @@ class Keystore {
     std::shared_ptr<const RsaContext> rsa_ctx;
     // The batch nonce PRF's key, derived from the private key (kRsa).
     std::optional<HmacKey> nonce_key;
+    HashKey hash_key{};  // Signer::hash_key
     bool revoked = false;
   };
 

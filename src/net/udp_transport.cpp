@@ -3,12 +3,11 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstring>
-
-#include "util/codec.h"
 
 namespace bftbc::net {
 
@@ -24,6 +23,10 @@ std::uint32_t read_u32le(const std::uint8_t* p) {
          static_cast<std::uint32_t>(p[1]) << 8 |
          static_cast<std::uint32_t>(p[2]) << 16 |
          static_cast<std::uint32_t>(p[3]) << 24;
+}
+
+void write_u32le(std::uint8_t* p, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
 }
 
 bool same_addr(const sockaddr_in& a, const sockaddr_in& b) {
@@ -65,8 +68,8 @@ UdpTransport::UdpTransport(EventLoop& loop, sim::NodeId id,
       id_(id),
       coalescer_(
           loop,
-          [this](sim::NodeId to, const rpc::Envelope& env) {
-            send_now(to, env);
+          [this](sim::NodeId to, const EncodedMessage& payload) {
+            send_now(to, payload);
           },
           [this] { counters_.inc("encode_calls"); }) {
   for (const auto& [node, ep] : peers) peers_[node] = ep.to_sockaddr();
@@ -113,9 +116,7 @@ void UdpTransport::send(sim::NodeId to, const rpc::Envelope& env) {
   coalescer_.send(to, env);
 }
 
-void UdpTransport::send_now(sim::NodeId to, const rpc::Envelope& env) {
-  if (!env.has_cached_encoding()) counters_.inc("encode_calls");
-  const EncodedMessage& payload = env.shared_encoding();
+void UdpTransport::send_now(sim::NodeId to, const EncodedMessage& payload) {
   counters_.inc("msgs_sent");
   counters_.inc("bytes_sent", payload.size());
   const sockaddr_in* dst = fd_ >= 0 ? addr_for(to) : nullptr;
@@ -126,16 +127,21 @@ void UdpTransport::send_now(sim::NodeId to, const rpc::Envelope& env) {
     counters_.inc("msgs_dropped");
     return;
   }
-  Writer w;
-  w.reserve(8 + payload.size());
-  w.put_u32(kDatagramMagic);
-  w.put_u32(id_);
-  w.put_raw(payload.view());
-  const Bytes datagram = std::move(w).take();
-  const ssize_t n =
-      ::sendto(fd_, datagram.data(), datagram.size(), 0,
-               reinterpret_cast<const sockaddr*>(dst), sizeof(*dst));
-  if (n != static_cast<ssize_t>(datagram.size())) {
+  // The header and the shared payload go out as one datagram of two
+  // pieces, so the payload is never copied.
+  std::uint8_t header[kHeaderSize];
+  write_u32le(header, kDatagramMagic);
+  write_u32le(header + 4, id_);
+  const BytesView body = payload.view();
+  iovec pieces[2] = {{header, kHeaderSize},
+                     {const_cast<std::uint8_t*>(body.data()), body.size()}};
+  msghdr msg{};
+  msg.msg_name = const_cast<sockaddr_in*>(dst);
+  msg.msg_namelen = sizeof(*dst);
+  msg.msg_iov = pieces;
+  msg.msg_iovlen = 2;
+  const ssize_t n = ::sendmsg(fd_, &msg, 0);
+  if (n != static_cast<ssize_t>(kHeaderSize + body.size())) {
     counters_.inc("msgs_dropped");
   }
 }

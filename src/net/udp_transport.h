@@ -82,7 +82,7 @@ class UdpTransport final : public rpc::Transport {
   const Counters& counters() const { return counters_; }
 
  private:
-  void send_now(sim::NodeId to, const rpc::Envelope& env);
+  void send_now(sim::NodeId to, const EncodedMessage& payload);
   void on_readable();
   const sockaddr_in* addr_for(sim::NodeId to);
 

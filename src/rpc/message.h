@@ -73,12 +73,23 @@ struct Envelope {
 
   Bytes encode() const {
     Writer w;
-    w.reserve(2 + 8 + 4 + varint_size(body.size()) + body.size());
+    w.reserve(header_size(body.size()) + body.size());
+    put_header(w, type, rpc_id, sender, body.size());
+    w.put_raw(body);
+    return std::move(w).take();
+  }
+
+  // An encoding's fields up to the body, for a body of `body_size` bytes
+  // the caller appends next (the coalescer writes bundles this way).
+  static constexpr std::size_t header_size(std::size_t body_size) {
+    return 2 + 8 + 4 + varint_size(body_size);
+  }
+  static void put_header(Writer& w, MsgType type, std::uint64_t rpc_id,
+                         crypto::PrincipalId sender, std::size_t body_size) {
     w.put_u16(static_cast<std::uint16_t>(type));
     w.put_u64(rpc_id);
     w.put_u32(sender);
-    w.put_bytes(body);
-    return std::move(w).take();
+    w.put_varint(body_size);
   }
 
   // Encode-once fan-out: the first call serializes and caches; every

@@ -1,5 +1,7 @@
 #include "rpc/transport.h"
 
+#include <algorithm>
+
 namespace bftbc::rpc {
 
 namespace {
@@ -7,7 +9,9 @@ constexpr std::size_t kMaxLengthPrefix = 5;  // varint of a u32 length
 }  // namespace
 
 void SendCoalescer::send(sim::NodeId to, const Envelope& env) {
-  pending_[to].push_back(env);
+  if (!env.has_cached_encoding()) note_encode_();
+  pending_.push_back(Queued{to, static_cast<std::uint32_t>(pending_.size()),
+                            env.shared_encoding()});
   if (flush_timer_ == 0) {
     // Delay 0 fires after every event already queued for this instant,
     // so one flush gathers the whole tick's sends.
@@ -18,37 +22,50 @@ void SendCoalescer::send(sim::NodeId to, const Envelope& env) {
 void SendCoalescer::flush() {
   scheduler_.cancel(flush_timer_);
   flush_timer_ = 0;
-  std::map<sim::NodeId, std::vector<Envelope>> pending;
-  pending.swap(pending_);
-  for (auto& [to, envs] : pending) {
-    for (std::size_t first = 0; first < envs.size();) {
-      // Extend the bundle [first, end) while it stays under the cap.
-      std::size_t end = first;
-      std::size_t bytes = 0;
-      while (end < envs.size()) {
-        const Envelope& sub = envs[end];
-        if (!sub.has_cached_encoding()) note_encode_();
-        const std::size_t size = sub.shared_encoding().size() + kMaxLengthPrefix;
-        if (end > first && bytes + size > kMaxBundleBytes) break;
-        bytes += size;
-        ++end;
+  // send_ never re-enters the coalescer (a delivery is always a
+  // scheduled event), so flushing_ holds still while it ships.
+  flushing_.swap(pending_);
+  std::sort(flushing_.begin(), flushing_.end(),
+            [](const Queued& a, const Queued& b) {
+              return a.to != b.to ? a.to < b.to : a.seq < b.seq;
+            });
+  for (std::size_t first = 0; first < flushing_.size();) {
+    const sim::NodeId to = flushing_[first].to;
+    // Extend the bundle [first, end) while it stays under the cap.
+    std::size_t end = first;
+    std::size_t bytes = 0;
+    std::size_t body = 4;  // the count, then each prefixed encoding
+    while (end < flushing_.size() && flushing_[end].to == to) {
+      const std::size_t size = flushing_[end].payload.size();
+      if (end > first && bytes + size + kMaxLengthPrefix > kMaxBundleBytes) {
+        break;
       }
-      if (end - first == 1) {
-        send_(to, envs[first++]);
-        continue;
-      }
-      Writer w;
-      w.reserve(4 + bytes);  // the count, then each prefixed encoding
-      w.put_u32(static_cast<std::uint32_t>(end - first));
-      for (; first < end; ++first) {
-        w.put_bytes(envs[first].shared_encoding().view());
-      }
-      Envelope batch;
-      batch.type = MsgType::kBatch;
-      batch.body = std::move(w).take();
-      send_(to, batch);
+      bytes += size + kMaxLengthPrefix;
+      body += varint_size(size) + size;
+      ++end;
     }
+    if (end - first == 1) {
+      send_(to, flushing_[first].payload);
+    } else {
+      send_bundle(to, first, end, body);
+    }
+    first = end;
   }
+  flushing_.clear();
+}
+
+void SendCoalescer::send_bundle(sim::NodeId to, std::size_t first,
+                                std::size_t end, std::size_t body_size) {
+  // The bytes of Envelope{kBatch, 0, 0, body}, written in one pass.
+  note_encode_();
+  Writer w;
+  w.reserve(Envelope::header_size(body_size) + body_size);
+  Envelope::put_header(w, MsgType::kBatch, 0, 0, body_size);
+  w.put_u32(static_cast<std::uint32_t>(end - first));
+  for (std::size_t i = first; i < end; ++i) {
+    w.put_bytes(flushing_[i].payload.view());
+  }
+  send_(to, EncodedMessage::wrap(std::move(w).take()));
 }
 
 void SendCoalescer::deliver(const Transport::Receiver& receiver,

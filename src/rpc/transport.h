@@ -6,7 +6,6 @@
 #pragma once
 
 #include <functional>
-#include <map>
 #include <optional>
 #include <vector>
 
@@ -41,7 +40,13 @@ class Transport {
 // the same tick, which is what feeds the replica's same-tick batches
 // real multi-message batches.
 //
-// The owner supplies how one wire envelope goes out and how a first-time
+// Encode once: send() takes the envelope's shared encoding (encoding it
+// on its first send, and counting that encode), so a broadcast to n
+// replicas, and each retransmission of it, share one buffer. A caller
+// must not change an envelope once it has sent it. Flushes ship in a
+// fixed order: destinations ascending, FIFO within one.
+//
+// The owner supplies how one wire envelope's bytes go out and how an
 // encode is counted, and calls flush() before its wire goes away: an
 // envelope accepted by send() never silently vanishes.
 class SendCoalescer {
@@ -52,7 +57,8 @@ class SendCoalescer {
   // single envelope above the cap ships alone.
   static constexpr std::size_t kMaxBundleBytes = 60 * 1024;
 
-  using SendFn = std::function<void(sim::NodeId to, const Envelope& env)>;
+  using SendFn =
+      std::function<void(sim::NodeId to, const EncodedMessage& payload)>;
 
   SendCoalescer(sim::Scheduler& scheduler, SendFn send,
                 std::function<void()> note_encode)
@@ -75,10 +81,21 @@ class SendCoalescer {
                       const Envelope& env);
 
  private:
+  struct Queued {
+    sim::NodeId to;
+    std::uint32_t seq;  // send order, for FIFO within a destination
+    EncodedMessage payload;
+  };
+  // Ships queued[first, end), one destination's, as one kBatch bundle.
+  void send_bundle(sim::NodeId to, std::size_t first, std::size_t end,
+                   std::size_t body_size);
+
   sim::Scheduler& scheduler_;
   SendFn send_;
   std::function<void()> note_encode_;
-  std::map<sim::NodeId, std::vector<Envelope>> pending_;
+  std::vector<Queued> pending_;
+  // The sends flush() ships; it and pending_ swap, keeping capacity.
+  std::vector<Queued> flushing_;
   sim::TimerId flush_timer_ = 0;  // 0: no flush pending
 };
 
@@ -94,7 +111,9 @@ class SimTransport final : public Transport {
     if (coalesce_sim != nullptr) {
       coalescer_.emplace(
           *coalesce_sim,
-          [this](sim::NodeId to, const Envelope& env) { send_now(to, env); },
+          [this](sim::NodeId to, const EncodedMessage& payload) {
+            network_.send(id_, to, payload);
+          },
           [this] { network_.note_encode(); });
     }
     network_.register_node(
@@ -119,9 +138,12 @@ class SimTransport final : public Transport {
   void send(sim::NodeId to, const Envelope& env) override {
     if (coalescer_) {
       coalescer_->send(to, env);
-    } else {
-      send_now(to, env);
+      return;
     }
+    // Encode-once fan-out: serialize on the first send of this envelope,
+    // then hand the same shared buffer to every target and retransmit.
+    if (!env.has_cached_encoding()) network_.note_encode();
+    network_.send(id_, to, env.shared_encoding());
   }
 
   void set_receiver(Receiver receiver) override {
@@ -129,13 +151,6 @@ class SimTransport final : public Transport {
   }
 
  private:
-  void send_now(sim::NodeId to, const Envelope& env) {
-    // Encode-once fan-out: serialize on the first send of this envelope,
-    // then hand the same shared buffer to every target and retransmit.
-    if (!env.has_cached_encoding()) network_.note_encode();
-    network_.send(id_, to, env.shared_encoding());
-  }
-
   sim::Network& network_;
   sim::NodeId id_;
   Receiver receiver_;

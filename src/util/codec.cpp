@@ -96,10 +96,9 @@ std::string Reader::get_string() {
   return std::string(b.begin(), b.end());
 }
 
-Bytes Reader::get_raw(std::size_t n) {
+BytesView Reader::get_raw(std::size_t n) {
   if (!need(n)) return {};
-  Bytes out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-            data_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
+  const BytesView out = data_.subspan(pos_, n);
   pos_ += n;
   return out;
 }

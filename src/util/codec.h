@@ -133,8 +133,9 @@ class Reader {
   // get_bytes without the copy: the view points into the input.
   BytesView get_bytes_view();
   std::string get_string();
-  // Read exactly n raw bytes (no length prefix).
-  Bytes get_raw(std::size_t n);
+  // Read exactly n raw bytes (no length prefix); the view points into
+  // the input.
+  BytesView get_raw(std::size_t n);
 
   // True iff no read so far ran past the end or hit malformed data.
   [[nodiscard]] bool ok() const { return ok_; }
@@ -248,7 +249,7 @@ T get(Reader& r) {
     return r.get_bytes();
   } else if constexpr (kIsByteArray<T>) {
     T out{};
-    const Bytes raw = r.get_raw(out.size());  // all of it, or nothing
+    const BytesView raw = r.get_raw(out.size());  // all of it, or nothing
     std::copy(raw.begin(), raw.end(), out.begin());
     return out;
   } else if constexpr (kIsOptional<T>) {
@@ -270,8 +271,7 @@ T get(Reader& r) {
         T::fields(m));
     return m;
   } else if constexpr (Blob<T>) {
-    const Bytes blob = r.get_bytes();
-    Reader inner(blob);
+    Reader inner(r.get_bytes_view());
     T out = T::decode(inner);
     // The blob's own verdict reaches the enclosing parse: a truncated
     // blob or one with trailing garbage is a malformed message, not a

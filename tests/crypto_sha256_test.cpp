@@ -110,14 +110,6 @@ TEST(Sha256Test, CompareDigestsOrdersNumerically) {
   EXPECT_LT(compare_digests(a, c), 0);
 }
 
-TEST(Sha256Test, DigestFromBytesRejectsWrongSize) {
-  Digest d;
-  EXPECT_FALSE(digest_from_bytes(Bytes(31, 0), d));
-  EXPECT_FALSE(digest_from_bytes(Bytes(33, 0), d));
-  EXPECT_TRUE(digest_from_bytes(Bytes(32, 7), d));
-  EXPECT_EQ(d[0], 7);
-}
-
 // Kernel-level tests: the compression functions themselves, reached
 // through the internal header.
 

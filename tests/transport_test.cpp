@@ -2,6 +2,8 @@
 // through rpc::SendCoalescer.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "rpc/transport.h"
 
 namespace bftbc::rpc {
@@ -224,6 +226,34 @@ TEST_F(TransportTest, EncodeOnceAcrossRepeatSends) {
   sim_.run_until(500);
   EXPECT_EQ(net_.counters().get("msgs_sent"), 3u);
   EXPECT_EQ(net_.counters().get("encode_calls"), 1u);
+}
+
+// The coalescing path encodes once too: a broadcast to four nodes over
+// two instants (the second a retransmission) is one encode, and every
+// datagram carries the same shared buffer. Each destination's lone
+// envelope ships bare, so no bundle is encoded either.
+TEST_F(TransportTest, CoalescedBroadcastEncodesOnce) {
+  SimTransport sender(net_, 1, &sim_);
+  std::vector<std::unique_ptr<SimTransport>> receivers;
+  std::vector<Envelope> got;
+  for (sim::NodeId n = 2; n <= 5; ++n) {
+    receivers.push_back(std::make_unique<SimTransport>(net_, n));
+    receivers.back()->set_receiver(
+        [&](sim::NodeId, const Envelope& e) { got.push_back(e); });
+  }
+  const Envelope env = envelope(7, "broadcast");
+  for (sim::NodeId n = 5; n >= 2; --n) sender.send(n, env);
+  sim_.run_until(50);
+  EXPECT_EQ(net_.counters().get("encode_calls"), 1u);
+  EXPECT_EQ(env.shared_encoding().use_count(), 1 + 4)  // env + in flight
+      << "every datagram holds the envelope's own buffer";
+  for (sim::NodeId n = 2; n <= 5; ++n) sender.send(n, env);
+  sim_.run_until(500);
+  EXPECT_EQ(net_.counters().get("encode_calls"), 1u);
+  EXPECT_EQ(net_.counters().get("msgs_sent"), 8u);
+  EXPECT_EQ(net_.counters().get("bytes_sent"), 8 * env.encode().size());
+  ASSERT_EQ(got.size(), 8u);
+  for (const Envelope& e : got) EXPECT_EQ(to_string(e.body), "broadcast");
 }
 
 }  // namespace
